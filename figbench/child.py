@@ -166,6 +166,12 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         "rows": rows,
         "exec": summarise(executor),
     }
+    if workload.seed_rows is not None:
+        result["seed_rows"] = workload.seed_rows([
+            (spec, outcome)
+            for specs, report, _, _ in executor.runs
+            for spec, outcome in zip(specs, report.outcomes)  # type: ignore[attr-defined]
+        ])
     if tracer is not None and profile is not None:
         tracer.uninstall()
         tracer.harvest_socs()
@@ -181,4 +187,13 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # Skip interpreter finalisation.  The executor has already joined
+    # every pool worker, but multiprocessing's exit handlers join the
+    # feeder thread of the executor's telemetry queue, which blocks
+    # forever when ``Pool.terminate`` killed a worker while it held the
+    # queue's write lock.  That hang comes after the measured call and
+    # would only turn a finished, checked call into a timeout.
+    os._exit(code)

@@ -19,11 +19,13 @@ import argparse
 import compileall
 import json
 import os
+import select
 import shutil
 import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import typing
 
@@ -41,7 +43,8 @@ import workloads  # noqa: E402
 #: Every timed run makes at least this many figure calls, however short
 #: ``--seconds`` is.  Call ``i`` runs on its own inputs (see
 #: ``workloads.figure_seeds``), and the fidelity metrics are the median
-#: over exactly these first calls, so they do not depend on speed.
+#: over the single-seed figures of exactly these first calls, so they do
+#: not depend on speed.
 MIN_CALLS = 5
 #: Extra set-up-only interpreters per figure call, each timed.
 SETUP_PROBES_PER_CALL = 2
@@ -70,26 +73,49 @@ def child_env() -> typing.Dict[str, str]:
 
 
 def spawn(args: typing.Sequence[str]) -> typing.Tuple[float, typing.Optional[dict]]:
-    """Run one child; returns (set-up seconds, parsed result or None)."""
-    start = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, CHILD, *args],
-        stdout=subprocess.PIPE,
-        text=True,
-        env=child_env(),
-        cwd=ROOT,
-    )
-    stdout = typing.cast(typing.IO[str], proc.stdout)
-    try:
-        ready = stdout.readline()
-        setup_s = time.perf_counter() - start
-        out, _ = proc.communicate(timeout=CHILD_TIMEOUT_S)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    if ready.strip() != "READY" or proc.returncode != 0:
-        raise ChildFailed(f"child {list(args)} exited {proc.returncode}")
+    """Run one child; returns (set-up seconds, parsed result or None).
+
+    The child's stderr goes to a file, copied to this run's stderr once
+    the child has ended; a failed child's message quotes its tail.
+    """
+    errors = tempfile.TemporaryFile("w+", dir=SCRATCH)
+    with errors:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, CHILD, *args],
+            stdout=subprocess.PIPE,
+            stderr=errors,
+            text=True,
+            env=child_env(),
+            cwd=ROOT,
+        )
+        stdout = typing.cast(typing.IO[str], proc.stdout)
+        ready = out = ""
+        setup_s = 0.0
+        timed_out = True
+        try:
+            if select.select([stdout], [], [], CHILD_TIMEOUT_S)[0]:
+                ready = stdout.readline()
+                setup_s = time.perf_counter() - start
+                out, _ = proc.communicate(timeout=CHILD_TIMEOUT_S)
+                timed_out = False
+        except subprocess.TimeoutExpired:
+            pass
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        errors.seek(0)
+        stderr = errors.read()
+    sys.stderr.write(stderr)
+    if timed_out or ready.strip() != "READY" or proc.returncode != 0:
+        why = (
+            f"did not end within {CHILD_TIMEOUT_S:.0f} s"
+            if timed_out
+            else f"exited {proc.returncode}"
+        )
+        tail = "\n".join(stderr.strip().splitlines()[-5:])
+        raise ChildFailed(f"child {list(args)} {why}" + (f": {tail}" if tail else ""))
     result = None
     for line in out.splitlines():
         if line.startswith("RESULT "):
@@ -137,6 +163,9 @@ def judge(
         trials = int(result["exec"]["trials"])
         attempted += trials
         bad = workloads.check_rows(workload, seed, call, result["rows"])
+        seed_sets = len(workloads.fidelity_rows(workload, result))
+        if workload.seed_rows is not None and seed_sets != workload.seeds_per_call:
+            bad.append(f"{seed_sets} single-seed row sets, not {workload.seeds_per_call}")
         if first_rows.setdefault(call, result["rows"]) != result["rows"]:
             bad.append("rows differ from an earlier result of the same call")
         if bad:
@@ -163,7 +192,11 @@ def timed_run(workload: workloads.Workload, seed: int, seconds: float) -> dict:
         if len(calls) >= MIN_CALLS and elapsed + last > seconds:
             break
     attempted, failed, problems = judge(workload, seed, list(enumerate(calls)))
-    fidelity = [workloads.fidelity(workload, c["rows"]) for c in calls[:MIN_CALLS]]
+    fidelity = [
+        workloads.fidelity(workload, rows)
+        for c in calls[:MIN_CALLS]
+        for rows in workloads.fidelity_rows(workload, c)
+    ]
     values = {
         "wall_s": statistics.median(c["wall_s"] for c in calls),
         "setup_s": statistics.median(setups),
@@ -228,7 +261,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
             outcome = traced_run(workload, args.seed)
         else:
             outcome = timed_run(workload, args.seed, args.seconds)
-    except (ChildFailed, subprocess.TimeoutExpired, OSError) as exc:
+    except (ChildFailed, OSError) as exc:
         print(f"figbench: {exc}", file=sys.stderr)
         return 1
     finally:

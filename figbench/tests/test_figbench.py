@@ -148,9 +148,14 @@ def test_fidelity_is_the_mean_gap_over_quoted_points():
 
 def test_a_mismatched_call_counts_all_its_trials_failed():
     workload = workloads.WORKLOADS["headline"]
-    good = {"rows": DEFAULT_ROWS["headline"], "exec": {"trials": 7, "trials_failed": 0}}
+    good = {
+        "rows": DEFAULT_ROWS["headline"],
+        "seed_rows": [DEFAULT_ROWS["headline"]] * 3,
+        "exec": {"trials": 7, "trials_failed": 0},
+    }
     bad = {
         "rows": [["llc-prime+probe", 130.4, 0.0], ["ring-contention", 99.0, 0.0]],
+        "seed_rows": [DEFAULT_ROWS["headline"]] * 3,
         "exec": {"trials": 7, "trials_failed": 0},
     }
     attempted, failed, problems = run.judge(workload, 0, [(0, good), (1, bad)])
@@ -201,13 +206,16 @@ def _fake_result(workload: workloads.Workload, call: int) -> dict:
         )
     }
     exec_summary["trials_failed"] = 0
-    return {
+    result = {
         "wall_s": 1.0 + call,
         "cpu_s": 1.0,
         "peak_rss_mb": 40.0,
         "rows": DEFAULT_ROWS[workload.name],
         "exec": exec_summary,
     }
+    if workload.seed_rows is not None:
+        result["seed_rows"] = [DEFAULT_ROWS[workload.name]] * workload.seeds_per_call
+    return result
 
 
 def _fake_spawn(args: typing.Sequence[str]) -> typing.Tuple[float, typing.Optional[dict]]:
@@ -276,6 +284,40 @@ def test_the_program_reproduces_the_reference_rows(name):
     workload = workloads.WORKLOADS[name]
     rows = workload.call(workloads.DEFAULT_SEED, 0)
     assert rows == DEFAULT_ROWS[name]
+
+
+def test_headline_single_seed_rows_average_to_the_call_rows():
+    from repro.exec import TrialExecutor
+
+    class Recording(TrialExecutor):
+        def __init__(self) -> None:
+            super().__init__(workers=0)
+            self.trials: typing.List[typing.Tuple[object, object]] = []
+
+        def run(self, specs):  # type: ignore[override]
+            report = super().run(specs)
+            self.trials.extend(zip(specs, report.outcomes))
+            return report
+
+    workload = workloads.WORKLOADS["headline"]
+    executor = Recording()
+    rows = workload.call(workloads.DEFAULT_SEED, 0, executor=executor)
+    assert workload.seed_rows is not None
+    per_seed = workload.seed_rows(executor.trials)
+    assert len(per_seed) == workload.seeds_per_call
+    for index, row in enumerate(rows):
+        assert [r[index][0] for r in per_seed] == [row[0]] * len(per_seed)
+        for col, digits in ((1, 1), (2, 2)):
+            mean = sum(float(r[index][col]) for r in per_seed) / len(per_seed)
+            assert mean == pytest.approx(row[col], abs=10.0 ** -digits)
+
+
+def test_a_call_missing_single_seed_rows_fails():
+    workload = workloads.WORKLOADS["headline"]
+    result = _fake_result(workload, 0)
+    result["seed_rows"] = result["seed_rows"][:1]
+    attempted, failed, problems = run.judge(workload, 1, [(0, result)])
+    assert failed == attempted and problems
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
