@@ -1,9 +1,9 @@
 """Benchmark regression guard for the committed performance artifacts.
 
-Seven families of checks, the first four against the figures committed
+Five families of checks, the first four against the figures committed
 at HEAD (the benchmark run overwrites the working-tree files, so the
-baseline has to come out of git) and the last three absolute,
-self-contained in the artifacts:
+baseline has to come out of git) and the last absolute, self-contained
+in its artifact:
 
 * ``engine_events_per_sec`` from ``BENCH_simulator_core.json`` — the
   core scheduler throughput metric (higher is better);
@@ -18,15 +18,7 @@ self-contained in the artifacts:
 * the lockstep-batching floor from ``BENCH_batch.json`` — an *absolute*
   check, no git baseline involved: the best batched row's aggregate
   events/sec must stay at or above ``acceptance_floor_speedup`` times
-  the serial row recorded in the same artifact;
-* the analytical tier's prediction-error ceilings from
-  ``BENCH_model_validation.json`` — absolute, self-contained: every
-  figure's recorded error must pass the ceilings embedded beside it;
-* the model-guided pre-screening floors from
-  ``BENCH_model_prescreen.json`` — absolute: the guided sweep must
-  reproduce the exhaustive measured Pareto frontier with at most
-  ``max_trial_fraction`` of the trials and at least
-  ``acceptance_floor_speedup`` x the wall-time.
+  the serial row recorded in the same artifact.
 
 A metric present in the working tree but absent from the committed
 baseline — a brand-new benchmark, or an old artifact that predates a
@@ -211,119 +203,6 @@ def run_batch_floor_checks(
     return results
 
 
-def run_model_validation_checks(
-    results_dir: pathlib.Path,
-) -> typing.List[typing.Tuple[str, str]]:
-    """Per-figure analytical-tier prediction-error ceilings.
-
-    ``BENCH_model_validation.json`` (written by the model-validation
-    bench / ``python -m repro.model --validate``) embeds its own
-    per-figure ceilings, so this check is absolute like the batch floor:
-    every figure must report ``pass`` under the ceilings recorded next
-    to its error numbers.
-    """
-    path = results_dir / "BENCH_model_validation.json"
-    if not path.exists():
-        return [("skip", "model validation: no report; run the benchmark")]
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError:
-        return [("skip", "model validation: report is not valid JSON")]
-    figures = doc.get("figures")
-    if not isinstance(figures, dict) or not figures:
-        return [("skip", "model validation: report has no figures block")]
-    results: typing.List[typing.Tuple[str, str]] = []
-    for figure in sorted(figures):
-        report = figures[figure]
-        if not isinstance(report, dict):
-            continue
-        ceilings = report.get("ceilings", {})
-        errors = ", ".join(
-            f"{key.removeprefix('max_')}={value:g}"
-            for key, value in sorted(report.items())
-            if key.startswith("max_")
-        )
-        status = "ok" if report.get("pass") else "regression"
-        results.append((status, (
-            f"model {figure}: {errors or 'no error metrics'} "
-            f"(ceilings {json.dumps(ceilings, sort_keys=True)})"
-        )))
-    return results
-
-
-def run_prescreen_floor_checks(
-    results_dir: pathlib.Path,
-) -> typing.List[typing.Tuple[str, str]]:
-    """Absolute floors for the model-guided sweep planner.
-
-    The pre-screening bench records an exhaustive DES sweep and a
-    model-guided sweep of the same grid under a ``prescreen`` block
-    (nested so the lockstep-batching floor scanner never sees it).  Three
-    self-contained acceptance criteria ride in the artifact: the guided
-    sweep must reach the same measured Pareto frontier, run at most
-    ``max_trial_fraction`` of the exhaustive trial count, and deliver at
-    least ``acceptance_floor_speedup`` x the exhaustive wall time.
-    """
-    path = results_dir / "BENCH_model_prescreen.json"
-    if not path.exists():
-        return [("skip", "prescreen floor: no artifact; run the benchmark")]
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError:
-        return [("skip", "prescreen floor: artifact is not valid JSON")]
-    block = doc.get("prescreen")
-    if not isinstance(block, dict):
-        return [("skip", "prescreen floor: artifact has no prescreen block")]
-
-    results: typing.List[typing.Tuple[str, str]] = []
-    floor = _metric(block, "acceptance_floor_speedup")
-    exhaustive_wall = _metric(block, "exhaustive", "wall_s")
-    guided_wall = _metric(block, "guided", "wall_s")
-    if None in (floor, exhaustive_wall, guided_wall) or not guided_wall:
-        results.append(("skip", "prescreen floor: wall times absent"))
-    else:
-        speedup = typing.cast(float, exhaustive_wall) / typing.cast(
-            float, guided_wall
-        )
-        status = "ok" if speedup >= typing.cast(float, floor) else "regression"
-        results.append((status, (
-            f"prescreen floor: guided {guided_wall:.2f}s vs exhaustive "
-            f"{exhaustive_wall:.2f}s = {speedup:.1f}x (floor {floor:.0f}x)"
-        )))
-
-    fraction_cap = _metric(block, "max_trial_fraction")
-    exhaustive_trials = _metric(block, "exhaustive", "trials")
-    guided_trials = _metric(block, "guided", "trials")
-    if None in (fraction_cap, exhaustive_trials, guided_trials) or not (
-        exhaustive_trials
-    ):
-        results.append(("skip", "prescreen trials: trial counts absent"))
-    else:
-        fraction = typing.cast(float, guided_trials) / typing.cast(
-            float, exhaustive_trials
-        )
-        status = (
-            "ok" if fraction <= typing.cast(float, fraction_cap)
-            else "regression"
-        )
-        results.append((status, (
-            f"prescreen trials: {guided_trials:.0f}/{exhaustive_trials:.0f} "
-            f"simulated = {fraction:.2f} (cap {fraction_cap:.2f})"
-        )))
-
-    frontier_match = block.get("frontier_match")
-    if frontier_match is None:
-        results.append(("skip", "prescreen frontier: match flag absent"))
-    else:
-        status = "ok" if frontier_match else "regression"
-        results.append((status, (
-            "prescreen frontier: guided sweep "
-            + ("reproduced" if frontier_match else "MISSED")
-            + " the exhaustive measured Pareto frontier"
-        )))
-    return results
-
-
 def run_check(
     check: Check, rev: str, override_baseline: typing.Optional[float] = None
 ) -> typing.Tuple[str, str]:
@@ -465,11 +344,7 @@ def main(argv: typing.Optional[list] = None) -> int:
         elif status == "ok":
             checked += 1
 
-    for status, message in (
-        run_batch_floor_checks(results_dir)
-        + run_model_validation_checks(results_dir)
-        + run_prescreen_floor_checks(results_dir)
-    ):
+    for status, message in run_batch_floor_checks(results_dir):
         label = {"ok": "ok", "regression": "REGRESSION", "skip": "skip"}[status]
         print(f"[{label}] {message}")
         if status == "regression":

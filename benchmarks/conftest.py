@@ -63,7 +63,6 @@ def append_ledger_record(
     kind: str,
     run: typing.Dict[str, object],
     warnings: typing.Sequence[str] = (),
-    predictions: typing.Optional[typing.Dict[str, object]] = None,
 ) -> None:
     """Append one provenance record for a bench run (never fails the bench)."""
     path = _ledger_path()
@@ -78,7 +77,6 @@ def append_ledger_record(
         ),
         warnings=warnings,
         fingerprint=_session_fingerprint(),
-        predictions=predictions,
     )
     try:
         append_record(path, record)

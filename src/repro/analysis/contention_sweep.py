@@ -566,30 +566,3 @@ def prepare_contention_prefix(params: Params, seed: int) -> typing.Dict[str, obj
         "trojan_fs": plan.trojan_fs,
     }
 
-
-def contention_run(params: Params, seed: int) -> "ChannelResult":
-    """One contention transmission as a :class:`ChannelResult`.
-
-    The sweep-facing face of :func:`contention_trial`: the payload spans
-    exactly ``n_slots`` slots, so the result's bandwidth is the slot
-    rate (``1e6 / slot_ns`` kb/s) and its error rate is the decoded
-    slot-flip fraction — the same two scalars the analytical tier's
-    ``contention_trial`` family predicts.
-    """
-    from repro.core.channel import ChannelDirection, ChannelResult
-
-    p = merged_params(params)
-    outcome = contention_trial(p, seed)
-    n_slots = typing.cast(int, p["n_slots"])
-    slot_fs = round(float(typing.cast(float, p["slot_ns"])) * FS_PER_NS)
-    return ChannelResult(
-        direction=ChannelDirection.GPU_TO_CPU,
-        sent=list(typing.cast(list, outcome["bits"])),
-        received=list(typing.cast(list, outcome["rx_bits"])),
-        elapsed_fs=n_slots * slot_fs,
-        meta={
-            "family": "contention_trial",
-            "llc": outcome["llc"],
-            "ring": outcome["ring"],
-        },
-    )

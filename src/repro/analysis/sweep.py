@@ -11,18 +11,6 @@ default (``workers=0`` — no picklability requirements, the mode tests
 use), or across a process pool with ``workers >= 1`` and optionally an
 on-disk result cache.  The aggregates are bit-identical either way —
 seeds are fixed up front and outcomes return in submission order.
-
-**Pre-screened sweeps.**  Pass ``predict`` (params → a
-:class:`~repro.model.ModelPrediction`, usually a
-:func:`repro.model.predict_point` partial) and the analytical tier plans
-the sweep: only points on or near the predicted Pareto frontier — plus
-every point the model does not support, plus seeded random audit probes
-— reach the DES (:mod:`repro.model.prescreen`).  Skipped points carry
-their predictions into the result, tagged ``source="model"`` with
-``n_runs=0`` aggregates; simulated points stay ``source="des"`` and are
-bit-identical to an unscreened sweep of the same grid.  A ``predict``
-that raises, or returns unsupported predictions for every point,
-degrades to exactly the full-DES sweep.
 """
 
 from __future__ import annotations
@@ -39,14 +27,6 @@ RunFn = typing.Callable[[Params, int], ChannelResult]
 
 if typing.TYPE_CHECKING:
     from repro.exec import ExecutionReport, TrialExecutor
-    from repro.model.prescreen import PrescreenBudget
-    from repro.model.report import ModelPrediction
-
-PredictFn = typing.Callable[[Params], "ModelPrediction"]
-
-#: Provenance tags: where a point's aggregate numbers came from.
-SOURCE_DES = "des"
-SOURCE_MODEL = "model"
 
 
 @dataclasses.dataclass
@@ -56,14 +36,6 @@ class SweepPoint:
     params: Params
     aggregate: typing.Optional[AggregateResult]
     failures: int
-    #: ``"des"`` when the aggregate is simulated evidence, ``"model"``
-    #: when a pre-screening planner skipped the point and the aggregate
-    #: is the analytical prediction (``n_runs == 0``).
-    source: str = SOURCE_DES
-    #: The model's report for this point when a predictor ran —
-    #: present on *both* skipped and simulated points, so predicted and
-    #: measured values can be compared wherever the sweep lands.
-    predicted: typing.Optional[typing.Dict[str, object]] = None
 
     @property
     def alive(self) -> bool:
@@ -80,35 +52,21 @@ class SweepResult:
     report: typing.Optional["ExecutionReport"] = None
 
     def best_by_error(self) -> SweepPoint:
-        """The live point with the lowest mean error.
-
-        Simulated (``source="des"``) points always outrank predictions:
-        a model-sourced point can win only when nothing was measured.
-        """
+        """The live point with the lowest mean error."""
         from repro.errors import ChannelProtocolError
 
         live = [p for p in self.points if p.alive]
-        measured = [p for p in live if p.source == SOURCE_DES]
-        candidates = measured or live
-        if not candidates:
+        if not live:
             raise ChannelProtocolError("every sweep point was dead")
-        return min(candidates, key=lambda p: p.aggregate.error_percent)  # type: ignore[union-attr]
+        return min(live, key=lambda p: p.aggregate.error_percent)  # type: ignore[union-attr]
 
     def param_keys(self) -> typing.List[str]:
         """Sorted union of parameter names across every point."""
         return sorted({key for point in self.points for key in point.params})
 
-    def _mixed_sources(self) -> bool:
-        return any(point.source != SOURCE_DES for point in self.points)
-
     def rows(self) -> typing.List[typing.Tuple[object, ...]]:
-        """Table rows: parameter values, bandwidth, error (or 'dead').
-
-        A pre-screened sweep (any non-DES point) grows a trailing
-        ``source`` column; all-DES sweeps keep the legacy shape.
-        """
+        """Table rows: parameter values, bandwidth, error (or 'dead')."""
         keys = self.param_keys()
-        tag_source = self._mixed_sources()
         rows: typing.List[typing.Tuple[object, ...]] = []
         for point in self.points:
             values = tuple(point.params.get(key, "") for key in keys)
@@ -120,16 +78,11 @@ class SweepResult:
                 )
             else:
                 row = values + ("dead", "dead")
-            if tag_source:
-                row = row + (point.source,)
             rows.append(row)
         return rows
 
     def header(self) -> typing.List[str]:
-        base = self.param_keys() + ["kb/s", "err %"]
-        if self._mixed_sources():
-            base.append("source")
-        return base
+        return self.param_keys() + ["kb/s", "err %"]
 
 
 def grid(**axes: typing.Sequence[object]) -> typing.List[Params]:
@@ -139,24 +92,6 @@ def grid(**axes: typing.Sequence[object]) -> typing.List[Params]:
     return [dict(zip(names, combo)) for combo in combos]
 
 
-def _safe_predictions(
-    predict: PredictFn, points: typing.Sequence[Params]
-) -> typing.List[typing.Optional["ModelPrediction"]]:
-    """One prediction per point; a raising predictor yields ``None``.
-
-    ``None`` routes the point to the DES (the unsupported path), so a
-    broken or partially-applicable model can only ever cost simulation
-    time, never correctness.
-    """
-    out: typing.List[typing.Optional["ModelPrediction"]] = []
-    for params in points:
-        try:
-            out.append(predict(dict(params)))
-        except Exception:
-            out.append(None)
-    return out
-
-
 def run_sweep(
     run: RunFn,
     points: typing.Sequence[Params],
@@ -164,8 +99,6 @@ def run_sweep(
     workers: int = 0,
     cache_dir: typing.Optional[str] = None,
     executor: typing.Optional["TrialExecutor"] = None,
-    predict: typing.Optional[PredictFn] = None,
-    budget: typing.Optional["PrescreenBudget"] = None,
 ) -> SweepResult:
     """Evaluate ``run(params, seed)`` over the grid with repetitions.
 
@@ -173,36 +106,14 @@ def run_sweep(
     ``executor`` to control timeouts, retries or cache policy directly.
     With ``workers >= 1`` the ``run`` callable and its params/results
     must be picklable (module-level functions, plain-data params).
-
-    ``predict`` (+ optional ``budget``) turns the sweep into a
-    model-guided one — see the module docstring.  Trial specs for
-    simulated points are built identically with or without a predictor,
-    so the DES-side outcomes are bit-identical either way.
     """
-    from repro.exec import MODEL, TrialExecutor, TrialSpec
+    from repro.exec import TrialExecutor, TrialSpec
 
     if executor is None:
         executor = TrialExecutor(workers=workers, cache=cache_dir)
 
-    predictions: typing.List[typing.Optional["ModelPrediction"]]
-    if predict is not None:
-        from repro.model.prescreen import plan_prescreen
-
-        predictions = _safe_predictions(predict, points)
-        plan = plan_prescreen(predictions, budget)
-        simulate = plan.simulate
-    else:
-        predictions = [None] * len(points)
-        simulate = [True] * len(points)
-
     specs = [
-        TrialSpec(
-            fn=run,
-            params=dict(params),
-            seed=seed,
-            tag=point_index,
-            resolved=None if simulate[point_index] else predictions[point_index],
-        )
+        TrialSpec(fn=run, params=dict(params), seed=seed, tag=point_index)
         for point_index, params in enumerate(points)
         for seed in seeds
     ]
@@ -212,20 +123,6 @@ def run_sweep(
     n_seeds = len(seeds)
     for point_index, params in enumerate(points):
         chunk = report.outcomes[point_index * n_seeds : (point_index + 1) * n_seeds]
-        prediction = predictions[point_index]
-        predicted = prediction.as_dict() if prediction is not None else None
-        if chunk and all(o.kind == MODEL for o in chunk):
-            prediction = typing.cast("ModelPrediction", prediction)
-            out.append(
-                SweepPoint(
-                    params=dict(params),
-                    aggregate=prediction.as_aggregate(),
-                    failures=0,
-                    source=SOURCE_MODEL,
-                    predicted=predicted,
-                )
-            )
-            continue
         results = [o.result for o in chunk if o.ok]
         failures = sum(1 for o in chunk if not o.ok)
         out.append(
@@ -233,8 +130,6 @@ def run_sweep(
                 params=dict(params),
                 aggregate=aggregate_results(results) if results else None,
                 failures=failures,
-                source=SOURCE_DES,
-                predicted=predicted,
             )
         )
     return SweepResult(points=out, report=report)

@@ -22,7 +22,6 @@ from repro.exec.cache import CacheStats, ResultCache
 from repro.exec.executor import (
     CRASH,
     DEAD,
-    MODEL,
     OK,
     TIMEOUT,
     ExecutionReport,
@@ -46,7 +45,6 @@ __all__ = [
     "CRASH",
     "DEAD",
     "ExecutionReport",
-    "MODEL",
     "OK",
     "PrefixSpec",
     "ResultCache",

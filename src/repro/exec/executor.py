@@ -63,11 +63,6 @@ TrialFn = typing.Callable[[Params, int], object]
 
 #: Outcome kinds, from best to worst.
 OK, DEAD, CRASH, TIMEOUT = "ok", "dead", "crash", "timeout"
-#: A trial answered by the analytical tier instead of the DES: the spec
-#: carried a pre-resolved prediction, so no simulation ran.  Not a
-#: failure kind — but deliberately distinct from OK so nothing mistakes
-#: a closed-form estimate for simulated evidence.
-MODEL = "model"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,11 +105,6 @@ class TrialSpec:
     #: computed on the *bare* params, so warm and cold runs address the
     #: same cache entries (their results are bit-identical).
     prefix: typing.Optional[PrefixSpec] = None
-    #: Pre-resolved payload from the analytical tier (a pre-screening
-    #: planner's prediction).  When set, ``fn`` is never called: the
-    #: executor short-circuits to a :data:`MODEL` outcome carrying this
-    #: value verbatim — uncached, zero attempts, no simulation.
-    resolved: object = None
 
 
 @dataclasses.dataclass
@@ -122,7 +112,7 @@ class TrialOutcome:
     """What happened to one trial, in submission order."""
 
     index: int
-    kind: str  # OK / DEAD / CRASH / TIMEOUT / MODEL
+    kind: str  # OK / DEAD / CRASH / TIMEOUT
     result: object = None
     error: typing.Optional[str] = None
     from_cache: bool = False
@@ -152,7 +142,7 @@ class ExecutionReport:
 
     @property
     def failures(self) -> typing.List[TrialOutcome]:
-        return [o for o in self.outcomes if o.kind not in (OK, MODEL)]
+        return [o for o in self.outcomes if o.kind != OK]
 
     @property
     def events_per_sec(self) -> float:
@@ -162,15 +152,11 @@ class ExecutionReport:
 
     def summary(self) -> str:
         ok = sum(1 for o in self.outcomes if o.kind == OK)
-        modeled = sum(1 for o in self.outcomes if o.kind == MODEL)
-        headline = (
-            f"{ok}/{len(self.outcomes)} trials ok "
-            f"(workers={self.workers}, {self.wall_s:.2f}s wall)"
-        )
-        if modeled:
-            headline += f", {modeled} answered by model"
         parts = [
-            headline,
+            (
+                f"{ok}/{len(self.outcomes)} trials ok "
+                f"(workers={self.workers}, {self.wall_s:.2f}s wall)"
+            ),
             self.cache.summary(),
             (
                 f"sim: engines={self.sim.get('engines_created', 0)} "
@@ -180,7 +166,7 @@ class ExecutionReport:
         ]
         kinds: typing.Dict[str, int] = {}
         for outcome in self.outcomes:
-            if outcome.kind not in (OK, MODEL):
+            if outcome.kind != OK:
                 kinds[outcome.kind] = kinds.get(outcome.kind, 0) + 1
         if kinds:
             detail = ", ".join(f"{k}={n}" for k, n in sorted(kinds.items()))
@@ -256,6 +242,21 @@ def run_one_trial(
 def default_workers() -> int:
     """A sensible worker count for "use the whole machine" callers."""
     return max(1, os.cpu_count() or 1)
+
+
+def _shutdown_pool(pool: typing.Any, aborted: bool) -> None:
+    """Retire a pool: idle workers exit cleanly, only an abort kills.
+
+    ``terminate()`` SIGTERMs every worker, and one killed while writing
+    to the telemetry queue keeps the queue's write lock for good — so a
+    round whose handles all returned drains with ``close()``/``join()``
+    instead, and its workers flush the queue on their way out.
+    """
+    if aborted:
+        pool.terminate()
+    else:
+        pool.close()
+    pool.join()
 
 
 _DRAIN_STOP = {"ev": "__drain_stop__"}
@@ -500,16 +501,6 @@ class TrialExecutor:
         outcomes: typing.Dict[int, TrialOutcome] = {}
         pending: typing.List[int] = []
         for index, spec in enumerate(specs):
-            if spec.resolved is not None:
-                # Analytical-tier short-circuit: the planner already
-                # answered this point; never simulated, never cached.
-                outcomes[index] = TrialOutcome(
-                    index=index, kind=MODEL, result=spec.resolved,
-                    attempts=0, tag=spec.tag,
-                )
-                if tel is not None:
-                    tel.handle({"ev": "trial.model", "index": index})
-                continue
             hit = self._cache_lookup(spec, index)
             if hit is not None:
                 outcomes[index] = hit
@@ -547,7 +538,7 @@ class TrialExecutor:
                 "cached": sum(1 for o in ordered if o.from_cache),
                 "sim": dict(sim),
             }
-            for kind in (OK, DEAD, CRASH, TIMEOUT, MODEL):
+            for kind in (OK, DEAD, CRASH, TIMEOUT):
                 finish[kind] = sum(1 for o in ordered if o.kind == kind)
             if self.cache is not None:
                 finish["cache"] = self.cache.stats.as_dict()
@@ -650,6 +641,7 @@ class TrialExecutor:
             )
             external = _empty_sim()
             pool = context.Pool(processes=min(self.workers, len(payloads)))
+            aborted = False
             try:
                 handles = [
                     (payload, pool.apply_async(run_batch_group, (payload,)))
@@ -661,13 +653,16 @@ class TrialExecutor:
                             self.trial_timeout_s * max(1, len(payload[1]))
                         )
                     except Exception:
+                        aborted = True
                         leftover.extend(entry[0] for entry in payload[1])
                         continue
                     _merge_sim(external, value[1])
                     apply(payload[1], value)
+            except BaseException:
+                aborted = True
+                raise
             finally:
-                pool.terminate()
-                pool.join()
+                _shutdown_pool(pool, aborted)
             # Worker-side engines/kernels never announce to this process's
             # censuses; publish their merged census once, like _run_parallel.
             note_external_sim(external)
@@ -726,6 +721,8 @@ class TrialExecutor:
         remaining = list(pending)
         attempts = {index: 0 for index in remaining}
         tel = self.telemetry
+        #: Whether any round killed its workers (see ``_shutdown_pool``).
+        killed = False
         try:
             while remaining:
                 pool = context.Pool(
@@ -734,6 +731,7 @@ class TrialExecutor:
                     initargs=(queue,),
                 )
                 next_round: typing.List[int] = []
+                aborted = False
                 try:
                     handles = []
                     for index in remaining:
@@ -753,7 +751,6 @@ class TrialExecutor:
                                 ),),
                             ),
                         ))
-                    aborted = False
                     for index, token, handle in handles:
                         attempts[index] += 1
                         if aborted:
@@ -812,11 +809,20 @@ class TrialExecutor:
                                 specs, outcomes, index, kind, value,
                                 attempts[index],
                             )
+                except BaseException:
+                    aborted = True
+                    raise
                 finally:
-                    pool.terminate()
-                    pool.join()
+                    killed = killed or aborted
+                    _shutdown_pool(pool, aborted)
                 remaining = next_round
         finally:
+            # Every pool is joined, so the stop sentinel queues behind all
+            # worker events.  A killed worker may still hold the queue's
+            # write lock: then the parent's feeder thread can never flush,
+            # and joining it at interpreter exit would hang.
+            if killed:
+                queue.cancel_join_thread()
             drainer.stop()
         # Census-crediting fix: trials that finished in a worker but whose
         # handle was abandoned (harvest raced a pool abort) still reported

@@ -88,49 +88,6 @@ def channel_drift_warnings(
     return warnings
 
 
-def prediction_error_warnings(
-    channels: typing.Mapping[str, ChannelHealth],
-    bandwidth_rel_ceiling: float,
-    ber_abs_ceiling_points: float,
-    label: str = "",
-) -> typing.List[str]:
-    """Flag channels whose analytical prediction strays past a ceiling.
-
-    Each channel dict may carry both measured (``bandwidth_kbps`` /
-    ``error_percent``) and predicted (``predicted_bandwidth_kbps`` /
-    ``predicted_error_percent``) fields — the merged shape
-    :func:`repro.obs.telemetry.bench_run_record` writes.  Bandwidth is
-    judged relatively, BER in absolute points (relative BER explodes on
-    the figures' error-free channels).  Channels missing either side are
-    skipped: a prediction ceiling only binds where both views exist.
-    """
-    prefix = f"{label}: " if label else ""
-    warnings: typing.List[str] = []
-    for channel in sorted(channels):
-        doc = channels[channel]
-        if not isinstance(doc, typing.Mapping):
-            continue
-        bw, bw_pred = _num(doc, "bandwidth_kbps"), _num(doc, "predicted_bandwidth_kbps")
-        if bw is not None and bw_pred is not None and bw > 0:
-            rel = abs(bw_pred - bw) / bw
-            if rel > bandwidth_rel_ceiling:
-                warnings.append(
-                    f"{prefix}{channel}: predicted bandwidth {bw_pred:.2f} "
-                    f"vs measured {bw:.2f} kbps ({100 * rel:.1f}% off, "
-                    f"ceiling {100 * bandwidth_rel_ceiling:.0f}%)"
-                )
-        ber, ber_pred = _num(doc, "error_percent"), _num(doc, "predicted_error_percent")
-        if ber is not None and ber_pred is not None:
-            delta = abs(ber_pred - ber)
-            if delta > ber_abs_ceiling_points:
-                warnings.append(
-                    f"{prefix}{channel}: predicted BER {ber_pred:.2f}% vs "
-                    f"measured {ber:.2f}% ({delta:.2f} points off, ceiling "
-                    f"{ber_abs_ceiling_points:.1f})"
-                )
-    return warnings
-
-
 def zscore(
     value: float, baseline_mean: float, baseline_scale: float
 ) -> float:

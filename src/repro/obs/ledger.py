@@ -48,11 +48,6 @@ _OPTIONAL_FIELDS: typing.Dict[str, typing.Tuple[type, ...]] = {
     "metrics": (dict,),
     "warnings": (list,),
     "argv": (list,),
-    #: Analytical-tier view of the run: per-channel ``predicted_*``
-    #: scalars plus per-point provenance counts (``source=model|des``) —
-    #: see :func:`repro.obs.telemetry.bench_run_record` and the model
-    #: validation report.
-    "predictions": (dict,),
 }
 
 
@@ -80,7 +75,6 @@ def make_record(
     warnings: typing.Sequence[str] = (),
     fingerprint: typing.Optional[str] = None,
     argv: typing.Optional[typing.Sequence[str]] = None,
-    predictions: typing.Optional[typing.Mapping[str, object]] = None,
 ) -> typing.Dict[str, object]:
     """Assemble one schema-valid ledger record (stamps time/fingerprint)."""
     if fingerprint is None:
@@ -107,8 +101,6 @@ def make_record(
         record["warnings"] = list(warnings)
     if argv is not None:
         record["argv"] = list(argv)
-    if predictions:
-        record["predictions"] = dict(predictions)
     return record
 
 

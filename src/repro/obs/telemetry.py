@@ -16,15 +16,9 @@ The event schema (every event is JSON-able)::
     trial.finish  {index, token, kind, wall_s, sim,
                    ber_percent?, bandwidth_kbps?, metrics?}
     trial.cached  {index, kind}
-    trial.model   {index}
     prefix.build  {label, sim}
-    sweep.finish  {wall_s, ok, dead, crash, timeout, model, cached,
+    sweep.finish  {wall_s, ok, dead, crash, timeout, cached,
                    sim, cache?, checkpoints?}
-
-``trial.model`` marks a point the pre-screening planner answered with an
-analytical-tier prediction instead of a DES run (executor outcome kind
-``"model"``); it counts toward completion but contributes no BER/latency
-samples — predictions are not measurements.
 
 Zero-overhead-when-off contract: with no telemetry attached the
 executor's fast paths cost one ``is None`` check, and workers never see
@@ -247,9 +241,6 @@ class SweepTelemetry:
             self._done_indices.add(typing.cast(int, event.get("index")))
             reg.counter("sweep.cached").inc()
             reg.counter(f"sweep.{event.get('kind', 'ok')}").inc()
-        elif ev == "trial.model":
-            self._done_indices.add(typing.cast(int, event.get("index")))
-            reg.counter("sweep.model").inc()
         elif ev == "trial.finish":
             self._done_indices.add(typing.cast(int, event.get("index")))
             reg.counter("sweep.attempts").inc()
@@ -430,7 +421,6 @@ def bench_run_record(
     engine: typing.Optional[str] = None,
     batch_width: typing.Optional[int] = None,
     batch_width_source: typing.Optional[str] = None,
-    predictions: typing.Optional[typing.Mapping[str, typing.Mapping[str, object]]] = None,
 ) -> typing.Dict[str, object]:
     """One benchmark run record, in the ``BENCH_<name>.json`` shape.
 
@@ -449,13 +439,6 @@ def bench_run_record(
     ``"auto"`` (footprint tuner), ``"env"`` (``REPRO_BATCH_WIDTH``) or
     ``"serial"`` (batch tier off) — so drift detection can tell a width
     change from a true perf regression.
-
-    ``predictions`` maps channel names to analytical-tier prediction
-    dicts (:meth:`repro.model.ModelPrediction.as_dict` shape); their
-    ``predicted_*`` scalars are folded into the matching ``channels``
-    entry (created if absent, stamped ``source="model"`` if it carries
-    no measured fields) so every baseline that stores channel health can
-    also carry — and drift-check — the model's view of it.
     """
     engines = events = 0
     if census is not None:
@@ -491,23 +474,6 @@ def bench_run_record(
             else value
             for name, value in channels.items()
         }
-    if predictions:
-        merged = typing.cast(
-            typing.Dict[str, object], record.setdefault("channels", {})
-        )
-        for name, pred in predictions.items():
-            entry = typing.cast(
-                typing.Dict[str, object], merged.setdefault(name, {})
-            )
-            measured = any(not k.startswith("predicted_") for k in entry)
-            entry.update(
-                {
-                    key: value
-                    for key, value in pred.items()
-                    if key.startswith("predicted_")
-                }
-            )
-            entry["source"] = "des" if measured else "model"
     if extra:
         record.update(extra)
     return record

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -234,6 +238,64 @@ def test_wedged_trial_times_out_without_hanging_the_sweep():
     # The trials queued behind the wedged worker still produced results.
     assert report.outcomes[1].result == 1001
     assert report.outcomes[2].result == 2002
+
+
+# -- pool teardown ------------------------------------------------------
+
+
+def test_successful_pool_run_lets_workers_exit_cleanly(monkeypatch):
+    """No worker of a run whose trials all returned is killed.
+
+    A SIGTERMed worker can die holding the telemetry queue's write lock,
+    after which the queue never drains; idle workers must exit on their
+    own (exit code 0), both for plain trials and for a batch group.
+    """
+    import multiprocessing.pool
+
+    from repro.analysis import probe_sweep
+    from repro.sim.batch import gate as batch_gate
+
+    workers = []
+
+    class RecordingPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            workers.extend(self._pool)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
+    specs = _specs() + [
+        TrialSpec(fn=probe_sweep.probe_trial, params={}, seed=100 + s)
+        for s in range(2)
+    ]
+    # Two runs: a terminated idle worker sometimes exits before the
+    # signal lands, so one run alone can miss the kill.
+    for _ in range(2):
+        with batch_gate.forced(True):
+            report = TrialExecutor(workers=2).run(specs)
+        assert [o.kind for o in report.outcomes] == [OK] * len(specs)
+    # Per run: one worker for the batch group, two for the plain trials.
+    assert len(workers) == 6
+    assert [w.exitcode for w in workers] == [0] * 6
+
+
+def test_pool_sweep_subprocess_exits_cleanly():
+    """An interpreter that ran a pool sweep exits by itself, promptly."""
+    import repro
+
+    code = (
+        "from repro.analysis.sweep import grid, run_sweep\n"
+        "from repro.exec.demo import synthetic_trial\n"
+        "points = grid(noise=(0.0, 0.2), n_bits=(16,))\n"
+        "result = run_sweep(synthetic_trial, points, seeds=(1, 2, 3), workers=2)\n"
+        "assert all(point.alive for point in result.points)\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_executor_rejects_bad_configuration():

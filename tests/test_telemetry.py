@@ -460,9 +460,13 @@ def test_ledger_cli(tmp_path, capsys):
     path = tmp_path / "LEDGER.jsonl"
     append_record(path, make_record("fig1", "figure", _run(),
                                     fingerprint="f" * 16))
-    assert main(["ledger", "--ledger", str(path)]) == 0
+    # Older ledgers carry a ``predictions`` block; it must still read.
+    legacy = make_record("prescreen", "bench", _run(), fingerprint="f" * 16)
+    legacy["predictions"] = {"wg2": {"predicted_bandwidth_kbps": 101.0}}
+    append_record(path, legacy)
+    assert main(["ledger", "--ledger", str(path), "--strict"]) == 0
     out = capsys.readouterr().out
-    assert "figure:fig1" in out
+    assert "figure:fig1" in out and "bench:prescreen" in out
     assert main(["ledger", "--ledger", str(path), "--json",
                  "--name", "fig1"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["name"] == (
