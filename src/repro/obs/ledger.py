@@ -48,6 +48,9 @@ _OPTIONAL_FIELDS: typing.Dict[str, typing.Tuple[type, ...]] = {
     "metrics": (dict,),
     "warnings": (list,),
     "argv": (list,),
+    #: Written by the retired analytical model tier; ledgers on disk
+    #: still carry it, so it stays type-checked.
+    "predictions": (dict,),
 }
 
 

@@ -1,439 +1,21 @@
-"""Analytical calculator tier: sub-models, planner, sweep integration."""
+"""Ledger records left by the retired analytical model tier.
 
-import json
+The closed-form model package is gone, but ledgers written while it
+existed carry a ``predictions`` block per record; they must keep
+validating and reading back unchanged.
+"""
 
-import pytest
-
-from repro.analysis.contention_sweep import DEFAULTS, contention_run
-from repro.analysis.metrics import AggregateResult
-from repro.analysis.sweep import SOURCE_DES, SOURCE_MODEL, grid, run_sweep
-from repro.config import kaby_lake, kaby_lake_model
-from repro.errors import AttackError
-from repro.exec import MODEL, OK, TrialExecutor, TrialSpec
-from repro.model import (
-    FIGURE_CEILINGS,
-    FIGURES,
-    ModelPrediction,
-    PrescreenBudget,
-    pareto_frontier,
-    plan_prescreen,
-    predict_point,
-    validate_figure,
-    validate_figures,
+from repro.obs.ledger import (
+    append_record, make_record, read_records, validate_record,
 )
-from repro.model import hitmiss, queueing, timer
-from repro.model.prescreen import FRONTIER, MARGIN, PROBE, SKIPPED, UNSUPPORTED
-
-
-# -- sub-models ---------------------------------------------------------
-
-
-def test_timer_rate_saturates_with_threads():
-    config = kaby_lake()
-    assert timer.counter_rate(config, 0) == 0.0
-    assert timer.counter_rate(config, 16) < timer.counter_rate(config, 224)
-    assert timer.counter_rate(config, 224) <= config.slm.saturated_rate_per_cycle
-
-
-def test_timer_levels_separate_at_full_threads():
-    detail = timer.predict_timer(kaby_lake())
-    assert detail["levels_separated"] == 1.0
-    assert detail["l3_ticks"] < detail["llc_ticks"] < detail["memory_ticks"]
-
-
-def test_queueing_latency_profile_orders_levels():
-    profile = queueing.latency_profile_ns(kaby_lake_model(scale=16))
-    assert 0 < profile["gpu_l3_ns"] < profile["gpu_llc_ns"] < profile["gpu_dram_ns"]
-    assert profile["cpu_llc_ns"] < profile["cpu_dram_ns"]
-
-
-def test_streaming_miss_fraction_is_monotone_piecewise():
-    f = queueing.streaming_miss_fraction
-    assert f(0.5) == 0.0
-    assert f(queueing.PLRU_HIT_EDGE) == 0.0
-    assert f(1.0) == pytest.approx(queueing.PLRU_MISS_AT_CAPACITY)
-    assert f(queueing.PLRU_THRASH_EDGE) == 1.0
-    assert f(2.0) == 1.0
-    ratios = [0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3]
-    fractions = [f(r) for r in ratios]
-    assert fractions == sorted(fractions)
-
-
-def test_iteration_factor_decreases_with_buffer_size():
-    config = kaby_lake_model(scale=16)
-    small = queueing.iteration_factor(config, 256 * 1024)
-    large = queueing.iteration_factor(config, 2 * 1024 * 1024)
-    assert small["iteration_factor"] > large["iteration_factor"] > 0
-
-
-def test_hitmiss_more_sets_cost_bandwidth():
-    one = hitmiss.predict_llc_channel(n_sets_per_role=1)
-    four = hitmiss.predict_llc_channel(n_sets_per_role=4)
-    assert one["bandwidth_kbps"] > four["bandwidth_kbps"] > 0
-
-
-def test_hitmiss_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        hitmiss.predict_llc_channel(strategy="no-such-strategy")
-    with pytest.raises(ValueError):
-        hitmiss.predict_llc_channel(n_sets_per_role=0)
-
-
-# -- dispatch and report ------------------------------------------------
-
-
-def test_predict_point_unknown_family_raises():
-    with pytest.raises(AttackError, match="unknown model family"):
-        predict_point("warp-drive")
-
-
-def test_predict_point_contention_trial_supported_envelope():
-    supported = predict_point("contention_trial", {"n_workgroups": 2})
-    assert supported.supported
-    faulted = predict_point(
-        "contention_trial", {"n_workgroups": 2, "fault_intensity": 0.5}
-    )
-    assert not faulted.supported
-    cpu = predict_point("contention_trial", {"trojan": "cpu"})
-    assert not cpu.supported
-
-
-def test_prediction_report_shape_and_goodput():
-    pred = predict_point("contention_trial", {"n_workgroups": 2})
-    doc = pred.as_dict()
-    assert doc["family"] == "contention_trial"
-    assert set(doc) >= {
-        "predicted_bandwidth_kbps",
-        "predicted_error_percent",
-        "predicted_goodput_kbps",
-        "supported",
-        "breakdown",
-    }
-    assert 0 < pred.goodput_kbps <= pred.bandwidth_kbps
-    json.dumps(doc)  # must be JSON-able as committed
-
-
-def test_prediction_as_aggregate_is_zero_run():
-    aggregate = predict_point("contention_trial", {}).as_aggregate()
-    assert isinstance(aggregate, AggregateResult)
-    assert aggregate.n_runs == 0  # the provenance marker
-
-
-# -- pre-screening planner ----------------------------------------------
-
-
-def _pred(bw, err, supported=True):
-    return ModelPrediction(
-        family="test", bandwidth_kbps=bw, error_percent=err,
-        supported=supported,
-    )
-
-
-def test_pareto_frontier_drops_dominated():
-    frontier = pareto_frontier([(10, 1.0), (20, 1.0), (20, 5.0), (5, 0.0)])
-    assert frontier == [(5, 0.0), (20, 1.0)]
-
-
-def test_plan_simulates_frontier_and_unsupported():
-    plan = plan_prescreen(
-        [
-            _pred(100, 0.0),            # frontier
-            _pred(50, 10.0),            # dominated
-            _pred(200, 20.0),           # frontier (faster, worse)
-            None,                       # predictor failed
-            _pred(80, 0.0, supported=False),
-        ],
-        PrescreenBudget(random_probes=0),
-    )
-    assert plan.reasons == [FRONTIER, SKIPPED, FRONTIER, UNSUPPORTED,
-                            UNSUPPORTED]
-    assert plan.simulate == [True, False, True, True, True]
-    assert plan.n_simulated == 4
-    assert plan.n_skipped == 1
-
-
-def test_plan_margin_band_keeps_near_frontier():
-    budget = PrescreenBudget(
-        bandwidth_margin=0.10, error_margin_points=0.0, random_probes=0
-    )
-    plan = plan_prescreen(
-        [_pred(100, 1.0), _pred(95, 1.0), _pred(50, 1.0)], budget
-    )
-    # 95 kb/s is within 10% of the 100 kb/s frontier point; 50 is not.
-    assert plan.reasons == [FRONTIER, MARGIN, SKIPPED]
-
-
-def test_plan_identical_predictions_collapse_to_one_rep():
-    plan = plan_prescreen(
-        [_pred(100, 0.0)] * 3 + [_pred(10, 40.0)],
-        PrescreenBudget(random_probes=0),
-    )
-    assert plan.reasons[:3].count(FRONTIER) == 1
-    assert plan.n_simulated == 1
-
-
-def test_plan_probes_are_deterministic():
-    preds = [_pred(100, 0.0)] + [_pred(10 + i, 40.0) for i in range(20)]
-    budget = PrescreenBudget(random_probes=3, probe_seed=7)
-    first = plan_prescreen(preds, budget)
-    second = plan_prescreen(preds, budget)
-    assert first.simulate == second.simulate
-    assert first.reasons.count(PROBE) == 3
-    other = plan_prescreen(preds, PrescreenBudget(random_probes=3,
-                                                  probe_seed=8))
-    assert other.reasons.count(PROBE) == 3
-
-
-# -- executor + sweep integration ---------------------------------------
-
-
-def test_executor_short_circuits_resolved_specs():
-    from repro.exec.demo import synthetic_trial
-
-    payload = predict_point("contention_trial", {})
-    specs = [
-        TrialSpec(fn=synthetic_trial, params={"noise": 0.0, "n_bits": 8},
-                  seed=1),
-        TrialSpec(fn=synthetic_trial, params={"noise": 0.0, "n_bits": 8},
-                  seed=2, resolved=payload),
-    ]
-    report = TrialExecutor(workers=0).run(specs)
-    kinds = [o.kind for o in report.outcomes]
-    assert kinds == [OK, MODEL]
-    assert report.outcomes[1].result is payload
-    assert report.outcomes[1].attempts == 0
-    assert not report.failures  # a model answer is not a failure
-    assert "1 answered by model" in report.summary()
-
-
-PRESCREEN_POINTS = grid(
-    slot_ns=(600.0, 1200.0, 1800.0, 2400.0),
-    n_workgroups=(2, 4),
-    n_slots=(4,),
-)
-
-
-def _contention_predict(params):
-    return predict_point("contention_trial", params)
-
-
-@pytest.mark.parametrize("workers", [0, 2])
-def test_prescreened_sweep_sources_and_bit_identity(workers):
-    full = run_sweep(contention_run, PRESCREEN_POINTS, seeds=(1,),
-                     workers=workers)
-    guided = run_sweep(contention_run, PRESCREEN_POINTS, seeds=(1,),
-                       workers=workers, predict=_contention_predict)
-    sources = {p.source for p in guided.points}
-    assert sources == {SOURCE_DES, SOURCE_MODEL}
-    for full_point, guided_point in zip(full.points, guided.points):
-        assert guided_point.predicted is not None
-        if guided_point.source == SOURCE_DES:
-            # Pre-screening decides whether the DES runs, never what it
-            # computes: simulated points are bit-identical to the
-            # unscreened sweep.
-            assert (guided_point.aggregate.as_dict()
-                    == full_point.aggregate.as_dict())
-        else:
-            assert guided_point.aggregate.n_runs == 0
-            assert guided_point.failures == 0
-
-
-def test_prescreened_sweep_rows_grow_source_column():
-    guided = run_sweep(contention_run, PRESCREEN_POINTS, seeds=(1,),
-                       predict=_contention_predict)
-    header = guided.header()
-    assert header[-1] == "source"
-    assert all(row[-1] in (SOURCE_DES, SOURCE_MODEL)
-               for row in guided.rows())
-    # An unscreened sweep keeps the legacy shape.
-    full = run_sweep(contention_run, PRESCREEN_POINTS[:2], seeds=(1,))
-    assert full.header()[-1] == "err %"
-
-
-def test_best_by_error_prefers_measured_over_predicted():
-    guided = run_sweep(contention_run, PRESCREEN_POINTS, seeds=(1,),
-                       predict=_contention_predict)
-    assert any(p.source == SOURCE_MODEL for p in guided.points)
-    assert guided.best_by_error().source == SOURCE_DES
-
-
-def _raising_predict(params):
-    raise RuntimeError("model tier unavailable")
-
-
-def _unsupported_predict(params):
-    return ModelPrediction(family="test", bandwidth_kbps=1.0,
-                           error_percent=0.0, supported=False)
-
-
-@pytest.mark.parametrize("workers", [0, 2, 8])
-@pytest.mark.parametrize("predict", [_raising_predict, _unsupported_predict],
-                         ids=["raising", "unsupported"])
-def test_prescreen_fallback_degrades_to_full_sweep(workers, predict):
-    """A broken or inapplicable model must cost nothing but time: the
-    sweep degrades to the full-DES sweep, bit-identical to today."""
-    from repro.exec.demo import synthetic_trial
-
-    points = grid(noise=(0.0, 0.1, 0.2), n_bits=(16,))
-    plain = run_sweep(synthetic_trial, points, seeds=(1, 2))
-    guarded = run_sweep(synthetic_trial, points, seeds=(1, 2),
-                        workers=workers, predict=predict)
-    assert all(p.source == SOURCE_DES for p in guarded.points)
-    assert [p.aggregate.as_dict() for p in guarded.points] == [
-        p.aggregate.as_dict() for p in plain.points
-    ]
-    assert guarded.rows() == plain.rows()
-    assert guarded.header() == plain.header()
-
-
-def test_prescreened_sweep_telemetry_counts_model_points():
-    import io
-
-    from repro.obs.telemetry import SweepTelemetry
-
-    stream = io.StringIO()
-    telemetry = SweepTelemetry(label="prescreen", stream=stream)
-    executor = TrialExecutor(workers=0, telemetry=telemetry)
-    run_sweep(contention_run, PRESCREEN_POINTS, seeds=(1,),
-              executor=executor, predict=_contention_predict)
-    events = [json.loads(line)
-              for line in stream.getvalue().splitlines() if line.strip()]
-    model_events = [e for e in events if e["ev"] == "trial.model"]
-    assert model_events
-    finish = [e for e in events if e["ev"] == "sweep.finish"][-1]
-    assert finish["model"] == len(model_events)
-    assert finish["ok"] + finish["model"] == len(PRESCREEN_POINTS)
-
-
-# -- figure validation --------------------------------------------------
-
-
-def test_validate_figure_unknown_name_raises():
-    with pytest.raises(AttackError, match="unknown figure"):
-        validate_figure("fig99")
-
-
-def test_validate_figures_pass_committed_baselines():
-    doc = validate_figures(FIGURES)
-    assert doc["pass"], json.dumps(doc, indent=2)
-    assert set(doc["figures"]) == set(FIGURES)
-    for figure, report in doc["figures"].items():
-        assert report["ceilings"] == FIGURE_CEILINGS[figure]
-        assert report["channels"], f"{figure} validated no channels"
-
-
-def test_validate_figure_detects_model_drift(tmp_path, monkeypatch):
-    """A figure whose measurement moves past the ceiling must fail."""
-    import pathlib
-
-    real = validate_figure("fig10")
-    source = pathlib.Path("benchmarks/results/BENCH_fig10.json")
-    doc = json.loads(source.read_text())
-    drifted_any = False
-    for entry in doc.get("runs", {}).values():
-        for channel in entry.get("channels", {}).values():
-            channel["bandwidth_kbps"] = 10_000.0  # far past any ceiling
-            drifted_any = True
-    assert drifted_any, "committed fig10 artifact carries no channels"
-    (tmp_path / "BENCH_fig10.json").write_text(json.dumps(doc))
-    drifted = validate_figure("fig10", results_dir=tmp_path)
-    assert real["pass"] and not drifted["pass"]
-
-
-# -- model CLI ----------------------------------------------------------
-
-
-def test_cli_point_reports_microsecond_prediction(capsys):
-    from repro.model.__main__ import main
-
-    code = main(["--point", "contention_trial",
-                 "--params", '{"n_workgroups": 2}'])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["family"] == "contention_trial"
-    assert doc["predicted_bandwidth_kbps"] > 0
-    assert doc["prediction_us"] < 1e6
-
-
-def test_cli_validate_writes_report(tmp_path, capsys):
-    from repro.model.__main__ import main
-
-    out = tmp_path / "report.json"
-    code = main(["--validate", "fig09", "--json", str(out)])
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["pass"]
-    assert set(doc["figures"]) == {"fig09"}
-
-
-def test_cli_rejects_bad_params(capsys):
-    from repro.model.__main__ import main
-
-    assert main(["--point", "contention_trial", "--params", "[1]"]) == 2
-    assert "error" in capsys.readouterr().err
-
-
-# -- observability integration ------------------------------------------
-
-
-def test_drift_prediction_error_warnings():
-    from repro.obs.drift import prediction_error_warnings
-
-    channels = {
-        "good": {
-            "bandwidth_kbps": 100.0, "predicted_bandwidth_kbps": 103.0,
-            "error_percent": 1.0, "predicted_error_percent": 1.5,
-        },
-        "bad-bw": {
-            "bandwidth_kbps": 100.0, "predicted_bandwidth_kbps": 160.0,
-            "error_percent": 1.0, "predicted_error_percent": 1.0,
-        },
-        "bad-ber": {
-            "bandwidth_kbps": 100.0, "predicted_bandwidth_kbps": 100.0,
-            "error_percent": 1.0, "predicted_error_percent": 9.0,
-        },
-        "model-only": {"predicted_bandwidth_kbps": 50.0},
-    }
-    warnings = prediction_error_warnings(
-        channels, bandwidth_rel_ceiling=0.2, ber_abs_ceiling_points=5.0,
-        label="sweep",
-    )
-    assert len(warnings) == 2
-    assert any("bad-bw" in w and "predicted bandwidth" in w
-               for w in warnings)
-    assert any("bad-ber" in w and "predicted BER" in w for w in warnings)
-
-
-def test_bench_run_record_merges_predictions():
-    from repro.obs.telemetry import bench_run_record
-
-    record = bench_run_record(
-        workers=0,
-        wall_s=1.0,
-        channels={"wg2": {"bandwidth_kbps": 100.0, "error_percent": 1.0}},
-        predictions={
-            "wg2": {"predicted_bandwidth_kbps": 101.0, "family": "x"},
-            "wg4": {"predicted_bandwidth_kbps": 55.0, "family": "x"},
-        },
-    )
-    channels = record["channels"]
-    assert channels["wg2"]["source"] == "des"  # measured + predicted
-    assert channels["wg2"]["predicted_bandwidth_kbps"] == 101.0
-    assert channels["wg2"]["bandwidth_kbps"] == 100.0
-    assert "family" not in channels["wg2"]  # only predicted_* merges
-    assert channels["wg4"]["source"] == "model"  # prediction only
 
 
 def test_ledger_accepts_predictions_block(tmp_path):
-    from repro.obs.ledger import (
-        append_record, make_record, read_records, validate_record,
-    )
-
     record = make_record(
         name="prescreen", kind="bench", run={"wall_s": 1.0},
-        predictions={"wg2": {"predicted_bandwidth_kbps": 101.0}},
         fingerprint="f" * 12,
     )
+    record["predictions"] = {"wg2": {"predicted_bandwidth_kbps": 101.0}}
     assert validate_record(record) == []
     path = tmp_path / "ledger.jsonl"
     append_record(path, record)
@@ -443,17 +25,6 @@ def test_ledger_accepts_predictions_block(tmp_path):
     assert loaded["predictions"] == {
         "wg2": {"predicted_bandwidth_kbps": 101.0}
     }
-    bad = dict(record, predictions="not-a-dict")
+    bad = dict(record)
+    bad["predictions"] = "not-a-dict"
     assert validate_record(bad)
-
-
-# -- contention_run adapter ---------------------------------------------
-
-
-def test_contention_run_matches_trial_family():
-    result = contention_run({"n_slots": 8, "n_workgroups": 2}, seed=3)
-    assert len(result.sent) == 8
-    assert result.bandwidth_bps == pytest.approx(
-        1e9 / DEFAULTS["slot_ns"], rel=1e-9
-    )
-    assert result.meta["family"] == "contention_trial"
