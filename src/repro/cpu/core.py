@@ -70,7 +70,8 @@ class CpuProgram:
         latencies = yield from self.soc.cpu_access_burst(self.core, paddrs)
         return latencies
 
-    def _issue_after(self, delay_fs: int, paddr: int) -> typing.Generator:
+    def _issue_after(self, paddr: int, delay_fs: int) -> typing.Generator:
+        """One lane of a staged-path batch: wait ``delay_fs``, then load."""
         if delay_fs:
             yield delay_fs
         latency = yield from self.soc.cpu_access(self.core, paddr)
@@ -101,8 +102,14 @@ class CpuProgram:
                 if folded is not None:
                     latencies.extend(folded)
                     continue
+            # Each fast-path lane is one resolver frame, issue delay included.
             children = [
-                Process(engine, self._issue_after(i * issue_fs, paddr))
+                Process(
+                    engine,
+                    soc._cpu_access_fast(self.core, paddr, i * issue_fs)
+                    if fast
+                    else self._issue_after(paddr, i * issue_fs),
+                )
                 for i, paddr in enumerate(batch)
             ]
             results = yield AllOf(engine, children)
@@ -129,9 +136,7 @@ class CpuProgram:
         t0 = engine._now
         if soc._core_stall_until[core] > t0:
             return None
-        caches = soc.cpu_caches[core]
-        l1 = caches.l1
-        l2 = caches.l2
+        l1, l2 = soc._core_arrays[core]
         d1 = soc._l1_hit_fs
         d2 = soc._l2_hit_fs
         n = len(batch)
@@ -151,15 +156,12 @@ class CpuProgram:
         latencies: typing.List[int] = []
         t_end = t0
         for k, paddr in enumerate(batch):
-            if l1.contains(paddr):
-                l1.access(paddr)
+            if l1.lookup(paddr):
                 d = d1
                 level = "l1"
             else:
-                l1.access(paddr)  # install; the L1 victim drops cleanly
-                result = l2.access(paddr)
-                if result.evicted is not None:
-                    l1.invalidate(result.evicted)
+                l1.fill(paddr)  # install; the L1 victim drops cleanly
+                l2.lookup(paddr)  # a hit: the whole batch sits in L2
                 d = d2
                 level = "l2"
             done = t0 + k * issue_fs + d

@@ -66,7 +66,8 @@ class WorkGroupCtx:
         latency = yield from self.soc.gpu_access(paddr)
         return latency
 
-    def _issue_after(self, delay_fs: int, paddr: int) -> typing.Generator:
+    def _issue_after(self, paddr: int, delay_fs: int) -> typing.Generator:
+        """One lane of a staged-path batch: wait ``delay_fs``, then load."""
         if delay_fs:
             yield delay_fs
         latency = yield from self.soc.gpu_access(paddr)
@@ -86,6 +87,9 @@ class WorkGroupCtx:
         latencies: typing.List[int] = []
         engine = self.soc.engine
         fast = self.soc._fastpath
+        # Each fast-path lane is one resolver frame, issue delay included.
+        issue = self.soc._gpu_access_fast if fast else self._issue_after
+        issue_fs = self._issue_fs
         for start in range(0, len(paddrs), self.mem_parallelism):
             batch = paddrs[start : start + self.mem_parallelism]
             if fast:
@@ -94,7 +98,7 @@ class WorkGroupCtx:
                     latencies.extend(folded)
                     continue
             children = [
-                Process(engine, self._issue_after(i * self._issue_fs, paddr))
+                Process(engine, issue(paddr, i * issue_fs))
                 for i, paddr in enumerate(batch)
             ]
             results = yield AllOf(engine, children)
@@ -114,7 +118,7 @@ class WorkGroupCtx:
         """
         soc = self.soc
         engine = soc.engine
-        l3 = soc.gpu_l3
+        l3 = soc.gpu_l3.array
         hit_fs = soc._l3_hit_fs
         issue_fs = self._issue_fs
         n = len(batch)
@@ -129,7 +133,7 @@ class WorkGroupCtx:
         trace = soc._trace_cache
         hist = soc._lat_gpu
         for k, paddr in enumerate(batch):
-            l3.access(paddr)
+            l3.lookup(paddr)
             if trace is not None:
                 trace.emit("cache.access", t0 + k * issue_fs + hit_fs, "gpu",
                            {"level": "l3", "hit": True, "paddr": paddr})

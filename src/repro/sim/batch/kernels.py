@@ -122,7 +122,7 @@ def _install(
 ) -> typing.Tuple[np.ndarray, np.ndarray]:
     """Fill one line per lane; returns ``(evicted tags, victim-path mask)``.
 
-    Replicates :meth:`repro.soc.cache.SetAssocCache._install`: first
+    Replicates :meth:`repro.soc.cache.SetAssocCache.fill`: first
     empty way in way order, else the true-LRU victim (``argmin`` age —
     valid because a full set has every way touched; see state module).
     The eviction counter increments only on the victim path, where the
@@ -574,8 +574,9 @@ class ProbeSweepKernel:
     ) -> np.ndarray:
         """Ring → LLC → DRAM for lanes whose private caches missed.
 
-        Mirrors ``SoC._miss_path_fast``: the ring is reserved at the
-        logical time t1 = t0 + pre; the LLC mutates at t3 = grant + hold;
+        Mirrors the miss path of the SoC's fast-path resolvers: the ring
+        is reserved at the logical time t1 = t0 + pre; the LLC mutates at
+        t3 = grant + hold;
         a DRAM draw happens only on an LLC miss.  Returns the total
         access latency per lane (``clk`` is *not* advanced here).
         """

@@ -26,14 +26,9 @@ def offset_in_line(paddr: int, line_bytes: int) -> int:
     return paddr & (line_bytes - 1)
 
 
-def extract_bits(value: int, low: int, count: int) -> int:
-    """Bits ``[low, low+count)`` of ``value`` as an integer."""
-    return (value >> low) & ((1 << count) - 1)
-
-
 def parity(value: int) -> int:
     """XOR-reduction (parity) of the set bits of ``value``."""
-    return bin(value).count("1") & 1
+    return value.bit_count() & 1
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,8 +12,7 @@ import dataclasses
 import typing
 
 from repro.errors import CacheGeometryError
-from repro.soc.address import line_address
-from repro.soc.replacement import ReplacementPolicy, TrueLru
+from repro.soc.replacement import ReplacementPolicy, TreePlru, TrueLru
 
 IndexFn = typing.Callable[[int], int]
 
@@ -29,7 +28,16 @@ class AccessResult:
 
 
 class SetAssocCache:
-    """Set-associative cache storing line addresses as tags."""
+    """Set-associative cache storing line addresses as tags.
+
+    The timed access paths use the two-step :meth:`lookup` / :meth:`fill`
+    pair, which allocates nothing; :meth:`access` wraps them in an
+    :class:`AccessResult` for everyone else.  Line alignment and the
+    default set index are one mask (and one shift) fixed at construction,
+    and true-LRU and tree-pLRU bookkeeping run inline on the per-set
+    metadata lists the policies define; any other policy is called
+    through its interface.
+    """
 
     def __init__(
         self,
@@ -52,7 +60,15 @@ class SetAssocCache:
         self.line_bytes = line_bytes
         self.policy = policy
         self._offset_bits = line_bytes.bit_length() - 1
+        self._line_mask = ~(line_bytes - 1)
+        # The default index is the line number's low bits when the set
+        # count is a power of two; -1 routes fills through ``_index_fn``.
+        self._set_mask = (
+            n_sets - 1 if index_fn is None and not n_sets & (n_sets - 1) else -1
+        )
         self._index_fn = index_fn or self._default_index
+        self._lru = type(policy) is TrueLru
+        self._plru_paths = policy.paths if type(policy) is TreePlru else None
         self._tags: typing.List[typing.List[typing.Optional[int]]] = [
             [None] * ways for _ in range(n_sets)
         ]
@@ -76,7 +92,7 @@ class SetAssocCache:
 
     def contains(self, paddr: int) -> bool:
         """Whether the line holding ``paddr`` is present (no state change)."""
-        return line_address(paddr, self.line_bytes) in self._where
+        return paddr & self._line_mask in self._where
 
     def access(
         self, paddr: int, allowed_ways: typing.Optional[typing.Sequence[int]] = None
@@ -86,54 +102,98 @@ class SetAssocCache:
         ``allowed_ways`` restricts where a *fill* may land (used by the
         way-partitioning mitigation); hits are unrestricted.
         """
-        line = line_address(paddr, self.line_bytes)
-        location = self._where.get(line)
-        if location is not None:
-            set_index, way = location
-            self.policy.on_hit(self._meta[set_index], way)
-            self.hits += 1
+        if self.lookup(paddr):
+            set_index, way = self._where[paddr & self._line_mask]
             return AccessResult(hit=True, set_index=set_index, way=way)
-        self.misses += 1
-        set_index = self._index_fn(line)
-        way, evicted = self._install(set_index, line, allowed_ways)
+        evicted = self.fill(paddr, allowed_ways)
+        set_index, way = self._where[paddr & self._line_mask]
         return AccessResult(hit=False, set_index=set_index, way=way, evicted=evicted)
 
-    def _install(
-        self,
-        set_index: int,
-        line: int,
-        allowed_ways: typing.Optional[typing.Sequence[int]],
-    ) -> typing.Tuple[int, typing.Optional[int]]:
+    def lookup(self, paddr: int) -> bool:
+        """The hit half of :meth:`access`: on a hit, count it, mark the way
+        most recent and return True; on a miss, change nothing."""
+        location = self._where.get(paddr & self._line_mask)
+        if location is None:
+            return False
+        self.hits += 1
+        set_index, way = location
+        if self._lru:
+            stack = self._meta[set_index]
+            if stack[0] != way:
+                stack.remove(way)
+                stack.insert(0, way)
+        elif self._plru_paths is not None:
+            bits = self._meta[set_index]
+            for node, bit in self._plru_paths[way]:
+                bits[node] = bit
+        else:
+            self.policy.on_hit(self._meta[set_index], way)
+        return True
+
+    def fill(
+        self, paddr: int, allowed_ways: typing.Optional[typing.Sequence[int]] = None
+    ) -> typing.Optional[int]:
+        """The miss half of :meth:`access`: count the miss, install the line
+        (first free way, else the victim) and return the evicted line.
+
+        Only valid after :meth:`lookup` returned False for ``paddr``.
+        """
+        self.misses += 1
+        line = paddr & self._line_mask
+        mask = self._set_mask
+        set_index = (line >> self._offset_bits) & mask if mask >= 0 else self._index_fn(line)
         tags = self._tags[set_index]
         meta = self._meta[set_index]
-        candidates = range(self.ways) if allowed_ways is None else allowed_ways
-        for way in candidates:
-            if tags[way] is None:
-                tags[way] = line
-                self._where[line] = (set_index, way)
-                self.policy.on_fill(meta, way)
-                return way, None
-        way = self._pick_victim(set_index, allowed_ways)
-        evicted = tags[way]
-        if evicted is not None:
+        evicted = None
+        if allowed_ways is None:
+            if None in tags:
+                way = tags.index(None)
+            elif self._lru:
+                way = meta[-1]
+            elif self._plru_paths is not None:
+                # Walk the pointer bits down to a leaf; leaves are numbered
+                # after the ways - 1 internal nodes.
+                node = 0
+                inner = self.ways - 1
+                while node < inner:
+                    node = 2 * node + 1 + meta[node]
+                way = node - inner
+            else:
+                way = self.policy.victim(meta)
+        else:
+            way = self._partition_way(tags, meta, allowed_ways)
+        if tags[way] is not None:
+            evicted = tags[way]
             del self._where[evicted]
             self.evictions += 1
         tags[way] = line
         self._where[line] = (set_index, way)
-        self.policy.on_fill(meta, way)
-        return way, evicted
+        if self._lru:
+            if meta[0] != way:
+                meta.remove(way)
+                meta.insert(0, way)
+        elif self._plru_paths is not None:
+            for node, bit in self._plru_paths[way]:
+                meta[node] = bit
+        else:
+            self.policy.on_fill(meta, way)
+        return evicted
 
-    def _pick_victim(
-        self, set_index: int, allowed_ways: typing.Optional[typing.Sequence[int]]
+    def _partition_way(
+        self,
+        tags: typing.List[typing.Optional[int]],
+        meta: object,
+        allowed_ways: typing.Sequence[int],
     ) -> int:
-        meta = self._meta[set_index]
-        if allowed_ways is None:
-            return self.policy.victim(meta)
+        """Fill target inside a way partition: the first free allowed way,
+        else the partition's least recent way (true LRU), else the policy
+        victim if allowed, else the lowest allowed way."""
+        for way in allowed_ways:
+            if tags[way] is None:
+                return way
         allowed = set(allowed_ways)
         if not allowed:
             raise CacheGeometryError(f"{self.name}: empty way partition")
-        # Honour recency within the partition when the policy is true LRU;
-        # otherwise fall back to the policy victim if allowed, else any.
         if isinstance(self.policy, TrueLru):
             for way in reversed(typing.cast(list, meta)):  # LRU end first
                 if way in allowed:
@@ -141,12 +201,11 @@ class SetAssocCache:
         victim = self.policy.victim(meta)
         if victim in allowed:
             return victim
-        return next(iter(sorted(allowed)))
+        return min(allowed)
 
     def invalidate(self, paddr: int) -> bool:
         """Drop the line holding ``paddr``; True if it was present."""
-        line = line_address(paddr, self.line_bytes)
-        location = self._where.pop(line, None)
+        location = self._where.pop(paddr & self._line_mask, None)
         if location is None:
             return False
         set_index, way = location

@@ -15,7 +15,6 @@ import dataclasses
 import typing
 
 from repro.config import GpuL3Config
-from repro.soc.address import extract_bits
 from repro.soc.cache import AccessResult, SetAssocCache
 from repro.soc.replacement import TreePlru
 
@@ -47,30 +46,37 @@ class GpuL3:
         self._set_bits = config.sets_per_bank.bit_length() - 1
         self._bank_bits = config.banks.bit_length() - 1
         self._subbank_bits = config.subbanks.bit_length() - 1
+        self._offset_bits = config.offset_bits
+        self._flat_mask = config.total_sets - 1
+        # The flat index is the line number's low bits, the array's
+        # default index.
         self._cache = SetAssocCache(
             name="gpu-l3",
             n_sets=config.total_sets,
             ways=config.ways,
             line_bytes=config.line_bytes,
             policy=TreePlru(config.ways),
-            index_fn=self.flat_index_of,
         )
 
     def placement_of(self, paddr: int) -> L3Placement:
         """Decode the (set, bank, sub-bank) placement of an address."""
-        low = self.config.offset_bits
-        set_in_bank = extract_bits(paddr, low, self._set_bits)
-        bank = extract_bits(paddr, low + self._set_bits, self._bank_bits)
-        subbank = extract_bits(
-            paddr, low + self._set_bits + self._bank_bits, self._subbank_bits
+        flat = self.flat_index_of(paddr)
+        set_bits = self._set_bits
+        bank_bits = self._bank_bits
+        return L3Placement(
+            set_in_bank=flat & ((1 << set_bits) - 1),
+            bank=(flat >> set_bits) & ((1 << bank_bits) - 1),
+            subbank=flat >> (set_bits + bank_bits),
         )
-        return L3Placement(set_in_bank=set_in_bank, bank=bank, subbank=subbank)
 
     def flat_index_of(self, paddr: int) -> int:
         """The flat set index used by the storage array."""
-        low = self.config.offset_bits
-        total_bits = self._set_bits + self._bank_bits + self._subbank_bits
-        return extract_bits(paddr, low, total_bits)
+        return (paddr >> self._offset_bits) & self._flat_mask
+
+    @property
+    def array(self) -> SetAssocCache:
+        """The backing set-associative array (the access paths' entry)."""
+        return self._cache
 
     def same_set(self, paddr_a: int, paddr_b: int) -> bool:
         """Whether two addresses collide in one L3 set.

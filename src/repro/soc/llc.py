@@ -14,7 +14,6 @@ import typing
 
 from repro.config import LlcConfig
 from repro.errors import CacheGeometryError
-from repro.soc.address import extract_bits, line_address
 from repro.soc.cache import AccessResult, SetAssocCache
 from repro.soc.replacement import TrueLru
 from repro.soc.slice_hash import SliceHash
@@ -41,6 +40,11 @@ class SlicedLlc:
         self.hash = SliceHash(
             [config.hash_s0_mask, config.hash_s1_mask], config.slices
         )
+        self._offset_bits = config.offset_bits
+        self._set_mask = config.sets_per_slice - 1
+        self._line_mask = ~(config.line_bytes - 1)
+        # Each slice indexes its sets by the line number's low bits, the
+        # arrays' default index.
         self._slices = [
             SetAssocCache(
                 name=f"llc-slice{i}",
@@ -48,13 +52,12 @@ class SlicedLlc:
                 ways=config.ways,
                 line_bytes=config.line_bytes,
                 policy=TrueLru(config.ways),
-                index_fn=self._set_index,
             )
             for i in range(config.slices)
         ]
 
     def _set_index(self, paddr: int) -> int:
-        return extract_bits(paddr, self.config.offset_bits, self.config.set_index_bits)
+        return (paddr >> self._offset_bits) & self._set_mask
 
     def location_of(self, paddr: int) -> LlcLocation:
         """Which (slice, set) a physical address maps to."""
@@ -65,6 +68,10 @@ class SlicedLlc:
         if not 0 <= slice_index < self.config.slices:
             raise CacheGeometryError(f"no such LLC slice: {slice_index}")
         return self._slices[slice_index]
+
+    def slice_for(self, paddr: int) -> SetAssocCache:
+        """The slice array holding ``paddr`` (the access paths' entry)."""
+        return self._slices[self.hash.slice_of(paddr)]
 
     def access(
         self, paddr: int, allowed_ways: typing.Optional[typing.Sequence[int]] = None
@@ -107,7 +114,7 @@ class SlicedLlc:
 
     def line_of(self, paddr: int) -> int:
         """Line-align a physical address using the LLC line size."""
-        return line_address(paddr, self.config.line_bytes)
+        return paddr & self._line_mask
 
     def state_dict(self) -> typing.Dict[str, object]:
         """Every slice's line + replacement state (checkpoint contract)."""

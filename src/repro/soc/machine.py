@@ -98,6 +98,13 @@ class SoC:
         self._core_tracks = [
             f"cpu.core{core}" for core in range(self.config.cpu_cores)
         ]
+        # The arrays the resolvers touch: each core's (L1, L2), every
+        # private array (LLC back-invalidation) and the GPU L3.
+        self._core_arrays = [(caches.l1, caches.l2) for caches in self.cpu_caches]
+        self._private_arrays = [
+            array for pair in self._core_arrays for array in pair
+        ]
+        self._l3 = self.gpu_l3.array
         # ------------------------------------------------------------------
         # Fault injection (see repro.faults).  Every SLM timer registers
         # itself here so the clock-drift injector can reach it; the probe
@@ -154,11 +161,6 @@ class SoC:
         """Deactivate LLC way partitioning."""
         self.llc_partition = None
 
-    def _fill_ways(self, domain: str) -> typing.Optional[typing.Tuple[int, ...]]:
-        if self.llc_partition is None:
-            return None
-        return self.llc_partition[domain]
-
     # ------------------------------------------------------------------
     # Clock helpers
 
@@ -174,16 +176,6 @@ class SoC:
 
     # ------------------------------------------------------------------
     # CPU access path
-
-    def _llc_evict_cpu_side(self, evicted: typing.Optional[int]) -> None:
-        """Inclusive back-invalidation: LLC eviction purges CPU caches.
-
-        Deliberately does *not* touch the GPU L3 (non-inclusive, §III-D).
-        """
-        if evicted is None:
-            return
-        for caches in self.cpu_caches:
-            caches.invalidate(evicted)
 
     def stall_if_preempted(self, core: int) -> AccessGen:
         """Hold the program while the OS has preempted its core."""
@@ -243,168 +235,125 @@ class SoC:
         # Private caches missed: cross the ring to the LLC slice.
         yield self.cpu_cycles_fs(cache_cfg.l2_hit_cycles) + self.ring.traverse_fs
         yield from self.ring.transfer(self._line_slots, "cpu")
-        llc = self.llc.access(paddr, allowed_ways=self._fill_ways("cpu"))
-        self._llc_evict_cpu_side(llc.evicted)
-        if trace is not None:
-            location = self.llc.location_of(paddr)
-            trace.emit(
-                "cache.access", self.engine.now, f"cpu.core{core}",
-                {"level": "llc", "hit": llc.hit, "paddr": paddr,
-                 "slice": location.slice_index, "set": location.set_index},
-            )
-        if llc.evicted is not None and self._trace_evict is not None:
-            self._trace_evict.emit(
-                "cache.evict", self.engine.now, "llc",
-                {"line": llc.evicted, "by": f"cpu.core{core}",
-                 "set": llc.set_index},
-            )
-        tail_fs = (
-            self.cpu_cycles_fs(self.config.llc.lookup_cycles) + self.ring.traverse_fs
+        yield self._llc_fill(
+            "cpu", f"cpu.core{core}", paddr, self.engine.now,
+            self.cpu_cycles_fs(self.config.llc.lookup_cycles) + self.ring.traverse_fs,
         )
-        if not llc.hit:
-            dram_fs = self.dram.latency_fs()
-            if self._trace_dram is not None:
-                self._trace_dram.emit(
-                    "dram.access", self.engine.now, "dram",
-                    {"requester": f"cpu.core{core}", "latency_ns": dram_fs / 1e6},
-                )
-            if self._lat_dram is not None:
-                self._lat_dram.add(dram_fs / 1e6)
-            tail_fs += dram_fs
-        yield tail_fs
         latency = self.engine.now - start
         self._record_cpu_latency(core, latency)
         return latency
 
-    def _cpu_access_fast(self, core: int, paddr: int) -> AccessGen:
-        """Coalesced path: one yield for a private hit, ≤2 around the ring.
+    def _cpu_access_fast(self, core: int, paddr: int, delay_fs: int = 0) -> AccessGen:
+        """The CPU resolver: one frame per load, issued ``delay_fs`` from now.
 
-        Observationally equivalent to :meth:`_cpu_access_slow`: every
-        cache/ring/DRAM state change and every trace/metrics emit happens
-        with the same logical timestamp and in the same cross-agent order
-        (folds only happen when no other event can run inside the folded
-        window — see DESIGN, "Fast-path contract").
+        Observationally equivalent to :meth:`_cpu_access_slow` after a
+        ``delay_fs`` wait: every cache/ring/DRAM state change and every
+        trace/metrics emit happens with the same logical timestamp and in
+        the same cross-agent order.  A private hit is one yield; a miss
+        folds the pre-ring segment, the ring hold and the LLC/DRAM tail
+        into as few yields as the queue head allows (see DESIGN,
+        "Fast-path contract").  The latency excludes the issue delay.
         """
+        if delay_fs:
+            yield delay_fs
         engine = self.engine
         start = engine._now
         stall_until = self._core_stall_until[core]
         if stall_until > start:
             yield stall_until - start
-        caches = self.cpu_caches[core]
-        trace = self._trace_cache
-        l1 = caches.l1.access(paddr)
-        if l1.hit:
+        l1, l2 = self._core_arrays[core]
+        level = "l1"
+        if l1.lookup(paddr):
             yield self._l1_hit_fs
-            if trace is not None:
-                trace.emit("cache.access", engine._now, self._core_tracks[core],
-                           {"level": "l1", "hit": True, "paddr": paddr})
-            latency = engine._now - start
-            if self._lat_cpu is not None:
-                self._lat_cpu[core].add(latency / 1e6)
-            return latency
-        l2 = caches.l2.access(paddr)
-        if l2.evicted is not None:
-            caches.l1.invalidate(l2.evicted)
-        if l2.hit:
-            yield self._l2_hit_fs
-            if trace is not None:
-                trace.emit("cache.access", engine._now, self._core_tracks[core],
-                           {"level": "l2", "hit": True, "paddr": paddr})
-            latency = engine._now - start
-            if self._lat_cpu is not None:
-                self._lat_cpu[core].add(latency / 1e6)
-            return latency
-        yield from self._miss_path_fast(
-            "cpu", self._core_tracks[core], paddr,
-            self._cpu_pre_fs, self._cpu_tail_base_fs,
-        )
+        else:
+            l1.fill(paddr)
+            level = "l2"
+            if l2.lookup(paddr):
+                yield self._l2_hit_fs
+            else:
+                evicted = l2.fill(paddr)
+                if evicted is not None:
+                    l1.invalidate(evicted)  # keep L1 within L2
+                level = None
+                # Miss path, folded as in the GPU resolver.
+                ring = self.ring
+                queue = engine._queue
+                t0 = engine._now
+                t1 = t0 + self._cpu_pre_fs
+                if ring.tdm is not None or (queue and queue[0][0] <= t1):
+                    yield self._cpu_pre_fs
+                    if ring.tdm is not None:
+                        tdm_wait = ring.tdm.wait_fs("cpu", engine._now)
+                        if tdm_wait:
+                            yield tdm_wait
+                    t0 = t1 = engine._now
+                waited, hold = ring.reserve(self._line_slots, "cpu", t1)
+                t3 = t1 + waited + hold
+                track = self._core_tracks[core]
+                if self.dram.fault_hook is None and (not queue or queue[0][0] > t3):
+                    yield t3 - t0 + self._llc_fill(
+                        "cpu", track, paddr, t3, self._cpu_tail_base_fs
+                    )
+                else:
+                    yield t3 - t0
+                    yield self._llc_fill(
+                        "cpu", track, paddr, engine._now, self._cpu_tail_base_fs
+                    )
+        if level is not None and self._trace_cache is not None:
+            self._trace_cache.emit("cache.access", engine._now, self._core_tracks[core],
+                                   {"level": level, "hit": True, "paddr": paddr})
         latency = engine._now - start
         if self._lat_cpu is not None:
             self._lat_cpu[core].add(latency / 1e6)
         return latency
 
-    def _llc_fill_fast(
+    def _llc_fill(
         self, domain: str, track: str, paddr: int, at_fs: int, tail_base_fs: int
     ) -> int:
-        """LLC lookup + possible DRAM fill, stamped with logical ``at_fs``.
+        """The LLC stage of a private miss, stamped with logical ``at_fs``.
 
-        Returns the tail delay beyond ``at_fs``.  State mutations and
-        emits are identical to the slow path's post-ring segment; only
-        the timestamp is supplied instead of read from the engine.
+        Looks the line up in its slice, fills it on a miss (inside the
+        domain's way partition, if one is active), back-invalidates an
+        evicted line from every core's private caches (the LLC is
+        inclusive of L1/L2 but not of the GPU L3, §III-D) and draws the
+        DRAM latency of a miss.  Returns the tail delay beyond ``at_fs``.
+        It never yields, so both access paths share it; the staged path
+        calls it at the true time.
         """
-        llc = self.llc.access(paddr, allowed_ways=self._fill_ways(domain))
-        self._llc_evict_cpu_side(llc.evicted)
+        array = self.llc.slice_for(paddr)
+        hit = array.lookup(paddr)
+        evicted = None
+        if not hit:
+            partition = self.llc_partition
+            evicted = array.fill(paddr, None if partition is None else partition[domain])
+            if evicted is not None:
+                for private in self._private_arrays:
+                    private.invalidate(evicted)
         trace = self._trace_cache
-        if trace is not None:
+        if trace is not None or (evicted is not None and self._trace_evict is not None):
             location = self.llc.location_of(paddr)
-            trace.emit(
-                "cache.access", at_fs, track,
-                {"level": "llc", "hit": llc.hit, "paddr": paddr,
-                 "slice": location.slice_index, "set": location.set_index},
-            )
-        if llc.evicted is not None and self._trace_evict is not None:
-            self._trace_evict.emit(
-                "cache.evict", at_fs, "llc",
-                {"line": llc.evicted, "by": track, "set": llc.set_index},
-            )
-        tail_fs = tail_base_fs
-        if not llc.hit:
-            dram_fs = self.dram.latency_fs()
-            if self._trace_dram is not None:
-                self._trace_dram.emit(
-                    "dram.access", at_fs, "dram",
-                    {"requester": track, "latency_ns": dram_fs / 1e6},
+            if trace is not None:
+                trace.emit(
+                    "cache.access", at_fs, track,
+                    {"level": "llc", "hit": hit, "paddr": paddr,
+                     "slice": location.slice_index, "set": location.set_index},
                 )
-            if self._lat_dram is not None:
-                self._lat_dram.add(dram_fs / 1e6)
-            tail_fs += dram_fs
-        return tail_fs
-
-    def _miss_path_fast(
-        self, domain: str, track: str, paddr: int, pre_fs: int, tail_base_fs: int
-    ) -> typing.Generator[object, object, None]:
-        """Private-miss → ring → LLC/DRAM with fixed segments folded.
-
-        Folding a segment is legal only when no other queued event can
-        run inside it (strictly — pre-existing entries at the boundary
-        time carry lower sequence numbers and would run first), so every
-        fold is guarded by a queue-head check.  The TDM window check and,
-        when a DRAM fault hook is armed, the DRAM draw must happen at
-        their true times; those configurations simply fold less.
-        """
-        engine = self.engine
-        ring = self.ring
-        queue = engine._queue
-        t0 = engine._now
-        t1 = t0 + pre_fs
-        if ring.tdm is None and (not queue or queue[0][0] > t1):
-            # Fold the pre-ring latency into the reservation: the request
-            # is booked at its logical time t1.
-            waited, hold = ring.reserve(self._line_slots, domain, at_fs=t1)
-            t3 = t1 + waited + hold
-            if self.dram.fault_hook is None and (not queue or queue[0][0] > t3):
-                tail_fs = self._llc_fill_fast(domain, track, paddr, t3, tail_base_fs)
-                yield t3 - t0 + tail_fs
-                return
-            yield t3 - t0
-            tail_fs = self._llc_fill_fast(domain, track, paddr, engine._now, tail_base_fs)
-            yield tail_fs
-            return
-        yield pre_fs
-        if ring.tdm is not None:
-            tdm_wait = ring.tdm.wait_fs(domain, engine._now)
-            if tdm_wait:
-                yield tdm_wait
-        t1 = engine._now
-        waited, hold = ring.reserve(self._line_slots, domain)
-        t3 = t1 + waited + hold
-        if self.dram.fault_hook is None and (not queue or queue[0][0] > t3):
-            tail_fs = self._llc_fill_fast(domain, track, paddr, t3, tail_base_fs)
-            yield t3 - t1 + tail_fs
-            return
-        yield t3 - t1
-        tail_fs = self._llc_fill_fast(domain, track, paddr, engine._now, tail_base_fs)
-        yield tail_fs
+            if evicted is not None and self._trace_evict is not None:
+                self._trace_evict.emit(
+                    "cache.evict", at_fs, "llc",
+                    {"line": evicted, "by": track, "set": location.set_index},
+                )
+        if hit:
+            return tail_base_fs
+        dram_fs = self.dram.latency_fs()
+        if self._trace_dram is not None:
+            self._trace_dram.emit(
+                "dram.access", at_fs, "dram",
+                {"requester": track, "latency_ns": dram_fs / 1e6},
+            )
+        if self._lat_dram is not None:
+            self._lat_dram.add(dram_fs / 1e6)
+        return tail_base_fs + dram_fs
 
     def cpu_access_burst(
         self, core: int, paddrs: typing.Sequence[int]
@@ -426,9 +375,7 @@ class SoC:
             return latencies
         engine = self.engine
         queue = engine._queue
-        caches = self.cpu_caches[core]
-        l1 = caches.l1
-        l2 = caches.l2
+        l1, l2 = self._core_arrays[core]
         d1 = self._l1_hit_fs
         d2 = self._l2_hit_fs
         trace = self._trace_cache
@@ -449,8 +396,7 @@ class SoC:
                 if head is not None and head <= ti + d2:
                     break
                 paddr = paddrs[i]
-                if l1.contains(paddr):
-                    l1.access(paddr)
+                if l1.lookup(paddr):
                     acc += d1
                     if trace is not None:
                         trace.emit("cache.access", ti + d1, track,
@@ -460,11 +406,8 @@ class SoC:
                         hist.add(d1 / 1e6)
                     i += 1
                     continue
-                if l2.contains(paddr):
-                    l1.access(paddr)  # install (same as the scalar path)
-                    result = l2.access(paddr)
-                    if result.evicted is not None:
-                        l1.invalidate(result.evicted)
+                if l2.lookup(paddr):
+                    l1.fill(paddr)  # install (same as the scalar path)
                     acc += d2
                     if trace is not None:
                         trace.emit("cache.access", ti + d2, track,
@@ -527,57 +470,63 @@ class SoC:
         gpu_traverse_fs = self.ring.traverse_fs * self.config.ring.gpu_traverse_multiplier
         yield self.gpu_cycles_fs(self.config.gpu_l3.hit_cycles) + gpu_traverse_fs
         yield from self.ring.transfer(self._line_slots, "gpu")
-        llc = self.llc.access(paddr, allowed_ways=self._fill_ways("gpu"))
-        self._llc_evict_cpu_side(llc.evicted)
-        if trace is not None:
-            location = self.llc.location_of(paddr)
-            trace.emit(
-                "cache.access", self.engine.now, "gpu",
-                {"level": "llc", "hit": llc.hit, "paddr": paddr,
-                 "slice": location.slice_index, "set": location.set_index},
-            )
-        if llc.evicted is not None and self._trace_evict is not None:
-            self._trace_evict.emit(
-                "cache.evict", self.engine.now, "llc",
-                {"line": llc.evicted, "by": "gpu", "set": llc.set_index},
-            )
-        tail_fs = (
-            self.cpu_cycles_fs(self.config.llc.lookup_cycles) + gpu_traverse_fs
+        yield self._llc_fill(
+            "gpu", "gpu", paddr, self.engine.now,
+            self.cpu_cycles_fs(self.config.llc.lookup_cycles) + gpu_traverse_fs,
         )
-        if not llc.hit:
-            dram_fs = self.dram.latency_fs()
-            if self._trace_dram is not None:
-                self._trace_dram.emit(
-                    "dram.access", self.engine.now, "dram",
-                    {"requester": "gpu", "latency_ns": dram_fs / 1e6},
-                )
-            if self._lat_dram is not None:
-                self._lat_dram.add(dram_fs / 1e6)
-            tail_fs += dram_fs
-        yield tail_fs
         latency = self.engine.now - start
         if self._lat_gpu is not None:
             self._lat_gpu.add(latency / 1e6)
         return latency
 
-    def _gpu_access_fast(self, paddr: int) -> AccessGen:
-        """Coalesced path: one yield for an L3 hit, ≤2 around the ring."""
+    def _gpu_access_fast(self, paddr: int, delay_fs: int = 0) -> AccessGen:
+        """The GPU resolver: one frame per load, issued ``delay_fs`` from now.
+
+        The GPU sibling of :meth:`_cpu_access_fast`: an L3 hit is one
+        yield; a miss fills the L3 at once (the non-inclusive victim drops
+        silently) and takes the folded ring → LLC/DRAM path.
+        """
+        if delay_fs:
+            yield delay_fs
         engine = self.engine
         start = engine._now
-        trace = self._trace_cache
-        l3 = self.gpu_l3.access(paddr)
-        if l3.hit:
+        l3 = self._l3
+        if l3.lookup(paddr):
             yield self._l3_hit_fs
-            if trace is not None:
-                trace.emit("cache.access", engine._now, "gpu",
-                           {"level": "l3", "hit": True, "paddr": paddr})
-            latency = engine._now - start
-            if self._lat_gpu is not None:
-                self._lat_gpu.add(latency / 1e6)
-            return latency
-        yield from self._miss_path_fast(
-            "gpu", "gpu", paddr, self._gpu_pre_fs, self._gpu_tail_base_fs
-        )
+            if self._trace_cache is not None:
+                self._trace_cache.emit("cache.access", engine._now, "gpu",
+                                       {"level": "l3", "hit": True, "paddr": paddr})
+        else:
+            l3.fill(paddr)
+            # Miss path.  A segment folds into the next yield only when no
+            # queued event can run inside it (strictly: an entry at the
+            # boundary time carries a lower sequence number and would run
+            # first).  The TDM window check and, with a DRAM fault hook
+            # armed, the DRAM draw must happen at their true times; those
+            # configurations fold less.
+            ring = self.ring
+            queue = engine._queue
+            t0 = start
+            t1 = t0 + self._gpu_pre_fs
+            if ring.tdm is not None or (queue and queue[0][0] <= t1):
+                yield self._gpu_pre_fs
+                if ring.tdm is not None:
+                    tdm_wait = ring.tdm.wait_fs("gpu", engine._now)
+                    if tdm_wait:
+                        yield tdm_wait
+                t0 = t1 = engine._now
+            # The request is booked at its logical time t1.
+            waited, hold = ring.reserve(self._line_slots, "gpu", t1)
+            t3 = t1 + waited + hold
+            if self.dram.fault_hook is None and (not queue or queue[0][0] > t3):
+                yield t3 - t0 + self._llc_fill(
+                    "gpu", "gpu", paddr, t3, self._gpu_tail_base_fs
+                )
+            else:
+                yield t3 - t0
+                yield self._llc_fill(
+                    "gpu", "gpu", paddr, engine._now, self._gpu_tail_base_fs
+                )
         latency = engine._now - start
         if self._lat_gpu is not None:
             self._lat_gpu.add(latency / 1e6)
@@ -600,7 +549,7 @@ class SoC:
             return latencies
         engine = self.engine
         queue = engine._queue
-        l3 = self.gpu_l3
+        l3 = self._l3
         d3 = self._l3_hit_fs
         trace = self._trace_cache
         hist = self._lat_gpu
@@ -616,9 +565,8 @@ class SoC:
                 if head is not None and head <= ti + d3:
                     break
                 paddr = paddrs[i]
-                if not l3.contains(paddr):
+                if not l3.lookup(paddr):
                     break
-                l3.access(paddr)
                 acc += d3
                 if trace is not None:
                     trace.emit("cache.access", ti + d3, "gpu",

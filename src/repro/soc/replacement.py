@@ -92,16 +92,27 @@ class TreePlru(ReplacementPolicy):
         if ways & (ways - 1):
             raise CacheGeometryError("tree-pLRU requires a power-of-two way count")
         self._levels = ways.bit_length() - 1
+        #: Per way, the ``(node, bit)`` writes that touching it makes: the
+        #: bits along its root-to-leaf path, each pointing away from it.
+        self.paths: typing.Tuple[typing.Tuple[typing.Tuple[int, int], ...], ...] = tuple(
+            self._path(way) for way in range(ways)
+        )
+
+    def _path(self, way: int) -> typing.Tuple[typing.Tuple[int, int], ...]:
+        path = []
+        node = 0
+        for level in range(self._levels):
+            side = (way >> (self._levels - 1 - level)) & 1
+            path.append((node, 1 - side))  # point away from the touched side
+            node = 2 * node + 1 + side
+        return tuple(path)
 
     def new_set_state(self) -> typing.List[int]:
         return [0] * max(1, self.ways - 1)
 
     def _touch(self, bits: typing.List[int], way: int) -> None:
-        node = 0
-        for level in range(self._levels):
-            side = (way >> (self._levels - 1 - level)) & 1
-            bits[node] = 1 - side  # point away from the touched side
-            node = 2 * node + 1 + side
+        for node, bit in self.paths[way]:
+            bits[node] = bit
 
     def on_hit(self, state: object, way: int) -> None:
         self._touch(typing.cast(list, state), way)

@@ -65,6 +65,9 @@ class Ring:
         self.tdm: typing.Optional[TdmSchedule] = None
         self.transfers: typing.Dict[Domain, int] = {"cpu": 0, "gpu": 0}
         self.waited_fs: typing.Dict[Domain, int] = {"cpu": 0, "gpu": 0}
+        # Occupancy per payload size, computed on first use: every access
+        # path books the same line-sized transfer.
+        self._holds: typing.Dict[int, int] = {}
         # Resolved once; `None` keeps transfer()'s disabled path to one check.
         self._trace = _recorder.sink_for("ring.hop")
         # Sampled at construction: one ring is consistently ledger-mode
@@ -151,8 +154,10 @@ class Ring:
         timestamp — the same timestamp the event-mode emit carries.
         """
         at = self.engine._now if at_fs is None else at_fs
-        hold = self.hold_fs(payload_slots)
-        waited = self._resource.reserve(hold, at_fs=at)
+        hold = self._holds.get(payload_slots)
+        if hold is None:
+            hold = self._holds[payload_slots] = self.hold_fs(payload_slots)
+        waited = self._resource.reserve(hold, at)
         self.transfers[domain] = self.transfers.get(domain, 0) + 1
         self.waited_fs[domain] = self.waited_fs.get(domain, 0) + waited
         if self._trace is not None:

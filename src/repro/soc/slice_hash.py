@@ -30,12 +30,22 @@ class SliceHash:
         self.masks = tuple(int(m) for m in masks)
         self.n_slices = n_slices
         self._used_bits = needed_bits
+        self._used_masks = self.masks[:needed_bits]
 
     def slice_of(self, paddr: int) -> int:
-        """The LLC slice index of a physical address."""
+        """The LLC slice index of a physical address.
+
+        The paper's 4-slice hash (two output bits) is unrolled; other
+        widths take the generic loop.
+        """
+        masks = self._used_masks
+        if len(masks) == 2:
+            return ((paddr & masks[0]).bit_count() & 1) | (
+                ((paddr & masks[1]).bit_count() & 1) << 1
+            )
         value = 0
-        for position in range(self._used_bits):
-            value |= parity(paddr & self.masks[position]) << position
+        for position, mask in enumerate(masks):
+            value |= parity(paddr & mask) << position
         return value
 
     def mask_bits(self, position: int) -> typing.Tuple[int, ...]:

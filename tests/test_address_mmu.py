@@ -9,7 +9,6 @@ from repro.errors import AllocationError, MemoryModelError
 from repro.sim.rng import RngStreams
 from repro.soc.address import (
     AddressRegion,
-    extract_bits,
     line_address,
     line_index,
     offset_in_line,
@@ -28,10 +27,6 @@ def test_line_address_aligns(paddr):
 @given(st.integers(min_value=0, max_value=2**40))
 def test_line_decomposition_roundtrip(paddr):
     assert line_index(paddr, 64) * 64 + offset_in_line(paddr, 64) == paddr
-
-
-def test_extract_bits():
-    assert extract_bits(0b1011_0100, 2, 4) == 0b1101
 
 
 @given(st.integers(min_value=0, max_value=2**40))

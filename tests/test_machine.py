@@ -254,3 +254,114 @@ def test_latency_profiles_are_ordered(soc):
     assert cpu["l1_ns"] < cpu["l2_ns"] < cpu["llc_ns"] < cpu["dram_ns"]
     gpu = soc.gpu_latency_profile()
     assert gpu["l3_ns"] < gpu["llc_ns"] < gpu["dram_ns"]
+
+
+# ----------------------------------------------------------------------
+# Event census: the fast path's event count and every structural counter
+# of two small fixed-seed transmits, pinned as constants.  Any change to
+# the access paths that alters an event, a tie-break or a cache decision
+# moves one of these numbers.
+
+
+def _census(soc):
+    snap = soc.metrics_snapshot()
+    counters = {"events_executed": soc.engine.events_executed}
+    for name in ("llc", "gpu_l3"):
+        for key in ("hits", "misses", "evictions"):
+            counters[f"{name}.{key}"] = snap[name][key]
+    for core, levels in sorted(snap["cpu"].items()):
+        for level in ("l1", "l2"):
+            for key in ("hits", "misses", "evictions"):
+                counters[f"cpu.{core}.{level}.{key}"] = levels[level][key]
+    for domain in ("cpu", "gpu"):
+        for key in ("transfers", "waited_fs"):
+            counters[f"ring.{domain}.{key}"] = snap["ring"][domain][key]
+    for key in ("accesses", "row_misses"):
+        counters[f"dram.{key}"] = snap["dram"][key]
+    return counters
+
+
+def _transmit_census(monkeypatch, transmit):
+    from repro.sim import fastpath
+    from repro.soc.machine import SoC
+
+    built = []
+    original_init = SoC.__init__
+
+    def init_and_keep(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SoC, "__init__", init_and_keep)
+    with fastpath.forced(True):
+        transmit()
+    assert len(built) == 1
+    return _census(built[0])
+
+
+LLC_CENSUS = {
+    "events_executed": 22033,
+    "llc.hits": 2620, "llc.misses": 1726, "llc.evictions": 1381,
+    "gpu_l3.hits": 4544, "gpu_l3.misses": 2250, "gpu_l3.evictions": 2218,
+    "cpu.core0.l1.hits": 14, "cpu.core0.l1.misses": 1942,
+    "cpu.core0.l1.evictions": 0,
+    "cpu.core0.l2.hits": 0, "cpu.core0.l2.misses": 1942,
+    "cpu.core0.l2.evictions": 1855,
+    **{f"cpu.core{core}.{level}.{key}": 0
+       for core in (1, 2) for level in ("l1", "l2")
+       for key in ("hits", "misses", "evictions")},
+    "cpu.core3.l1.hits": 2, "cpu.core3.l1.misses": 154,
+    "cpu.core3.l1.evictions": 34,
+    "cpu.core3.l2.hits": 0, "cpu.core3.l2.misses": 154,
+    "cpu.core3.l2.evictions": 11,
+    "ring.cpu.transfers": 2096, "ring.cpu.waited_fs": 1915163766,
+    "ring.gpu.transfers": 2250, "ring.gpu.waited_fs": 292042942,
+    "dram.accesses": 1726, "dram.row_misses": 631,
+}
+
+CONTENTION_CENSUS = {
+    "events_executed": 59789,
+    "llc.hits": 13529, "llc.misses": 2747, "llc.evictions": 0,
+    "gpu_l3.hits": 0, "gpu_l3.misses": 9536, "gpu_l3.evictions": 9024,
+    "cpu.core0.l1.hits": 19, "cpu.core0.l1.misses": 6621,
+    "cpu.core0.l1.evictions": 6361,
+    "cpu.core0.l2.hits": 68, "cpu.core0.l2.misses": 6553,
+    "cpu.core0.l2.evictions": 6297,
+    **{f"cpu.core{core}.{level}.{key}": 0
+       for core in (1, 2) for level in ("l1", "l2")
+       for key in ("hits", "misses", "evictions")},
+    "cpu.core3.l1.hits": 4, "cpu.core3.l1.misses": 187,
+    "cpu.core3.l1.evictions": 56,
+    "cpu.core3.l2.hits": 0, "cpu.core3.l2.misses": 187,
+    "cpu.core3.l2.evictions": 18,
+    "ring.cpu.transfers": 6740, "ring.cpu.waited_fs": 6615594476,
+    "ring.gpu.transfers": 9536, "ring.gpu.waited_fs": 67118081609,
+    "dram.accesses": 2747, "dram.row_misses": 989,
+}
+
+
+def test_llc_transmit_census(monkeypatch):
+    from repro.core.llc_channel import LLCChannel, LLCChannelConfig
+
+    channel = LLCChannel(LLCChannelConfig())
+    census = _transmit_census(
+        monkeypatch, lambda: channel.transmit(n_bits=8, seed=1)
+    )
+    assert census == LLC_CENSUS
+
+
+def test_contention_transmit_census(monkeypatch):
+    from repro.core.contention_channel import (
+        ContentionChannel,
+        ContentionChannelConfig,
+    )
+    from repro.sim import fastpath
+
+    channel = ContentionChannel(ContentionChannelConfig())
+    with fastpath.forced(True):
+        calibration = channel.calibrate(seed=1)
+    census = _transmit_census(
+        monkeypatch,
+        lambda: channel.transmit(n_bits=8, seed=1, calibration=calibration),
+    )
+    assert census == CONTENTION_CENSUS

@@ -241,3 +241,160 @@ def test_cache_most_recent_line_always_resident(line_numbers, policy_name):
     for number in line_numbers:
         cache.access(number * 64)
         assert cache.contains(number * 64)
+
+
+# ----------------------------------------------------------------------
+# Differential check of the flat lookup/fill path against a reference
+# model: the per-call access/install/victim chain the cache used to run,
+# with its own LRU stack and pLRU bit walks.
+
+
+class _ReferenceCache:
+    """Straightforward set-associative cache with the policy walks spelled out."""
+
+    def __init__(self, n_sets, ways, line_bytes, policy_name):
+        self.n_sets = n_sets
+        self.ways = ways
+        self.line_bytes = line_bytes
+        self.lru = policy_name == "lru"
+        self.levels = ways.bit_length() - 1
+        self.tags = [[None] * ways for _ in range(n_sets)]
+        self.meta = [
+            list(range(ways)) if self.lru else [0] * max(1, ways - 1)
+            for _ in range(n_sets)
+        ]
+        self.where = {}
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def _touch(self, meta, way):
+        if self.lru:
+            meta.remove(way)
+            meta.insert(0, way)
+            return
+        node = 0
+        for level in range(self.levels):
+            side = (way >> (self.levels - 1 - level)) & 1
+            meta[node] = 1 - side
+            node = 2 * node + 1 + side
+
+    def _victim(self, meta):
+        if self.lru:
+            return meta[-1]
+        node = 0
+        way = 0
+        for _level in range(self.levels):
+            side = meta[node]
+            way = (way << 1) | side
+            node = 2 * node + 1 + side
+        return way
+
+    def access(self, paddr, allowed_ways=None):
+        line = paddr & ~(self.line_bytes - 1)
+        location = self.where.get(line)
+        if location is not None:
+            set_index, way = location
+            self._touch(self.meta[set_index], way)
+            self.hits += 1
+            return True, set_index, way, None
+        self.misses += 1
+        set_index = (line // self.line_bytes) % self.n_sets
+        way, evicted = self._install(set_index, line, allowed_ways)
+        return False, set_index, way, evicted
+
+    def _install(self, set_index, line, allowed_ways):
+        tags = self.tags[set_index]
+        meta = self.meta[set_index]
+        candidates = range(self.ways) if allowed_ways is None else allowed_ways
+        for way in candidates:
+            if tags[way] is None:
+                tags[way] = line
+                self.where[line] = (set_index, way)
+                self._touch(meta, way)
+                return way, None
+        way = self._pick_victim(meta, allowed_ways)
+        evicted = tags[way]
+        if evicted is not None:
+            del self.where[evicted]
+            self.evictions += 1
+        tags[way] = line
+        self.where[line] = (set_index, way)
+        self._touch(meta, way)
+        return way, evicted
+
+    def _pick_victim(self, meta, allowed_ways):
+        if allowed_ways is None:
+            return self._victim(meta)
+        allowed = set(allowed_ways)
+        if self.lru:
+            for way in reversed(meta):
+                if way in allowed:
+                    return way
+        victim = self._victim(meta)
+        if victim in allowed:
+            return victim
+        return min(allowed)
+
+    def invalidate(self, paddr):
+        location = self.where.pop(paddr & ~(self.line_bytes - 1), None)
+        if location is None:
+            return False
+        set_index, way = location
+        self.tags[set_index][way] = None
+        return True
+
+    def state_dict(self):
+        return {
+            "tags": [list(ways) for ways in self.tags],
+            "meta": [list(meta) for meta in self.meta],
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
+
+
+@pytest.mark.parametrize("policy_name", ["lru", "tree-plru"])
+@pytest.mark.parametrize("ways", [8, 16])
+@pytest.mark.parametrize("partitioned", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flat_cache_matches_reference(policy_name, ways, partitioned, data):
+    n_sets, line_bytes = 2, 64
+    # Three lines per way of every set keep the sets full and churning.
+    # A step is (is_access, line number); about one in eight
+    # invalidates, which reopens free ways inside full sets.
+    steps = data.draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=7).map(lambda r: r != 0),
+            st.integers(min_value=0, max_value=3 * ways * n_sets - 1),
+        ),
+        min_size=4 * ways,
+        max_size=300,
+    ))
+    allowed = None
+    if partitioned:
+        allowed = data.draw(st.lists(
+            st.integers(min_value=0, max_value=ways - 1),
+            min_size=1, max_size=ways - 1, unique=True,
+        ))
+    cache = SetAssocCache("diff", n_sets=n_sets, ways=ways, line_bytes=line_bytes,
+                          policy=make_policy(policy_name, ways))
+    reference = _ReferenceCache(n_sets, ways, line_bytes, policy_name)
+    for index, (is_access, number) in enumerate(steps):
+        paddr = number * line_bytes + index % line_bytes
+        if not is_access:
+            assert cache.invalidate(paddr) == reference.invalidate(paddr)
+            continue
+        expected = reference.access(paddr, allowed)
+        if index % 2:
+            result = cache.access(paddr, allowed)
+            got = (result.hit, result.set_index, result.way, result.evicted)
+        else:
+            # The hot path: lookup, then fill on a miss.
+            hit = cache.lookup(paddr)
+            evicted = None if hit else cache.fill(paddr, allowed)
+            set_index, way = cache._where[paddr & ~(line_bytes - 1)]
+            got = (hit, set_index, way, evicted)
+        assert got == expected
+    assert cache.state_dict() == reference.state_dict()

@@ -239,3 +239,19 @@ def test_cpu_flush_all(caches):
     caches.fill_after_llc(0x40)
     caches.flush_all()
     assert not caches.contains(0x40)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.integers(min_value=0, max_value=(1 << 38) - 1), min_size=1, max_size=3),
+    st.lists(paddrs, min_size=1, max_size=20),
+)
+def test_hash_matches_generic_parity_form(masks, addresses):
+    """Output bit i is the parity of ``paddr & masks[i]``, for 1-3 masks."""
+    slice_hash = SliceHash(masks, 1 << len(masks))
+    for paddr in addresses:
+        expected = sum(
+            (bin(paddr & mask).count("1") & 1) << position
+            for position, mask in enumerate(masks)
+        )
+        assert slice_hash.slice_of(paddr) == expected
