@@ -1,8 +1,9 @@
-"""A generic set-associative cache with pluggable indexing and replacement.
+"""A generic set-associative cache with pluggable replacement.
 
 This one structure backs the CPU L1/L2, each LLC slice, and the GPU L3 —
-they differ only in geometry, index function and replacement policy.  The
-cache is purely a state machine; all timing lives in the access paths of
+they differ only in geometry and replacement policy, and each indexes its
+sets by the low bits of the line number.  The cache is purely a state
+machine; all timing lives in the access paths of
 :class:`repro.soc.machine.SoC`.
 """
 
@@ -12,9 +13,7 @@ import dataclasses
 import typing
 
 from repro.errors import CacheGeometryError
-from repro.soc.replacement import ReplacementPolicy, TreePlru, TrueLru
-
-IndexFn = typing.Callable[[int], int]
+from repro.soc.replacement import ReplacementPolicy, TrueLru
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,11 +31,8 @@ class SetAssocCache:
 
     The timed access paths use the two-step :meth:`lookup` / :meth:`fill`
     pair, which allocates nothing; :meth:`access` wraps them in an
-    :class:`AccessResult` for everyone else.  Line alignment and the
-    default set index are one mask (and one shift) fixed at construction,
-    and true-LRU and tree-pLRU bookkeeping run inline on the per-set
-    metadata lists the policies define; any other policy is called
-    through its interface.
+    :class:`AccessResult` for everyone else.  The line mask and the
+    policy's hit/fill/victim methods are bound once at construction.
     """
 
     def __init__(
@@ -46,7 +42,6 @@ class SetAssocCache:
         ways: int,
         line_bytes: int,
         policy: ReplacementPolicy,
-        index_fn: typing.Optional[IndexFn] = None,
     ) -> None:
         if n_sets <= 0 or ways <= 0:
             raise CacheGeometryError(f"{name}: sets and ways must be positive")
@@ -61,14 +56,9 @@ class SetAssocCache:
         self.policy = policy
         self._offset_bits = line_bytes.bit_length() - 1
         self._line_mask = ~(line_bytes - 1)
-        # The default index is the line number's low bits when the set
-        # count is a power of two; -1 routes fills through ``_index_fn``.
-        self._set_mask = (
-            n_sets - 1 if index_fn is None and not n_sets & (n_sets - 1) else -1
-        )
-        self._index_fn = index_fn or self._default_index
-        self._lru = type(policy) is TrueLru
-        self._plru_paths = policy.paths if type(policy) is TreePlru else None
+        self._on_hit = policy.on_hit
+        self._on_fill = policy.on_fill
+        self._victim = policy.victim
         self._tags: typing.List[typing.List[typing.Optional[int]]] = [
             [None] * ways for _ in range(n_sets)
         ]
@@ -79,16 +69,13 @@ class SetAssocCache:
         self.misses = 0
         self.evictions = 0
 
-    def _default_index(self, paddr: int) -> int:
-        return (paddr >> self._offset_bits) % self.n_sets
-
     @property
     def capacity_bytes(self) -> int:
         return self.n_sets * self.ways * self.line_bytes
 
     def set_index_of(self, paddr: int) -> int:
-        """The set a physical address maps to."""
-        return self._index_fn(paddr)
+        """The set a physical address maps to: its line number's low bits."""
+        return (paddr >> self._offset_bits) % self.n_sets
 
     def contains(self, paddr: int) -> bool:
         """Whether the line holding ``paddr`` is present (no state change)."""
@@ -117,17 +104,7 @@ class SetAssocCache:
             return False
         self.hits += 1
         set_index, way = location
-        if self._lru:
-            stack = self._meta[set_index]
-            if stack[0] != way:
-                stack.remove(way)
-                stack.insert(0, way)
-        elif self._plru_paths is not None:
-            bits = self._meta[set_index]
-            for node, bit in self._plru_paths[way]:
-                bits[node] = bit
-        else:
-            self.policy.on_hit(self._meta[set_index], way)
+        self._on_hit(self._meta[set_index], way)
         return True
 
     def fill(
@@ -140,43 +117,22 @@ class SetAssocCache:
         """
         self.misses += 1
         line = paddr & self._line_mask
-        mask = self._set_mask
-        set_index = (line >> self._offset_bits) & mask if mask >= 0 else self._index_fn(line)
+        set_index = self.set_index_of(line)
         tags = self._tags[set_index]
         meta = self._meta[set_index]
-        evicted = None
-        if allowed_ways is None:
-            if None in tags:
-                way = tags.index(None)
-            elif self._lru:
-                way = meta[-1]
-            elif self._plru_paths is not None:
-                # Walk the pointer bits down to a leaf; leaves are numbered
-                # after the ways - 1 internal nodes.
-                node = 0
-                inner = self.ways - 1
-                while node < inner:
-                    node = 2 * node + 1 + meta[node]
-                way = node - inner
-            else:
-                way = self.policy.victim(meta)
-        else:
+        if allowed_ways is not None:
             way = self._partition_way(tags, meta, allowed_ways)
-        if tags[way] is not None:
-            evicted = tags[way]
+        elif None in tags:
+            way = tags.index(None)
+        else:
+            way = self._victim(meta)
+        evicted = tags[way]
+        if evicted is not None:
             del self._where[evicted]
             self.evictions += 1
         tags[way] = line
         self._where[line] = (set_index, way)
-        if self._lru:
-            if meta[0] != way:
-                meta.remove(way)
-                meta.insert(0, way)
-        elif self._plru_paths is not None:
-            for node, bit in self._plru_paths[way]:
-                meta[node] = bit
-        else:
-            self.policy.on_fill(meta, way)
+        self._on_fill(meta, way)
         return evicted
 
     def _partition_way(
@@ -198,7 +154,7 @@ class SetAssocCache:
             for way in reversed(typing.cast(list, meta)):  # LRU end first
                 if way in allowed:
                     return way
-        victim = self.policy.victim(meta)
+        victim = self._victim(meta)
         if victim in allowed:
             return victim
         return min(allowed)

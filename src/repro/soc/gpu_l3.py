@@ -45,11 +45,6 @@ class GpuL3:
         self.config = config
         self._set_bits = config.sets_per_bank.bit_length() - 1
         self._bank_bits = config.banks.bit_length() - 1
-        self._subbank_bits = config.subbanks.bit_length() - 1
-        self._offset_bits = config.offset_bits
-        self._flat_mask = config.total_sets - 1
-        # The flat index is the line number's low bits, the array's
-        # default index.
         self._cache = SetAssocCache(
             name="gpu-l3",
             n_sets=config.total_sets,
@@ -71,7 +66,7 @@ class GpuL3:
 
     def flat_index_of(self, paddr: int) -> int:
         """The flat set index used by the storage array."""
-        return (paddr >> self._offset_bits) & self._flat_mask
+        return self._cache.set_index_of(paddr)
 
     @property
     def array(self) -> SetAssocCache:

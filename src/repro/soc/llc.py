@@ -40,11 +40,7 @@ class SlicedLlc:
         self.hash = SliceHash(
             [config.hash_s0_mask, config.hash_s1_mask], config.slices
         )
-        self._offset_bits = config.offset_bits
-        self._set_mask = config.sets_per_slice - 1
         self._line_mask = ~(config.line_bytes - 1)
-        # Each slice indexes its sets by the line number's low bits, the
-        # arrays' default index.
         self._slices = [
             SetAssocCache(
                 name=f"llc-slice{i}",
@@ -56,12 +52,10 @@ class SlicedLlc:
             for i in range(config.slices)
         ]
 
-    def _set_index(self, paddr: int) -> int:
-        return (paddr >> self._offset_bits) & self._set_mask
-
     def location_of(self, paddr: int) -> LlcLocation:
         """Which (slice, set) a physical address maps to."""
-        return LlcLocation(self.hash.slice_of(paddr), self._set_index(paddr))
+        slice_index = self.hash.slice_of(paddr)
+        return LlcLocation(slice_index, self._slices[slice_index].set_index_of(paddr))
 
     def slice_cache(self, slice_index: int) -> SetAssocCache:
         """Direct access to one slice's array (tests, mitigations)."""

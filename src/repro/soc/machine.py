@@ -161,6 +161,11 @@ class SoC:
         """Deactivate LLC way partitioning."""
         self.llc_partition = None
 
+    def _fill_ways(self, domain: str) -> typing.Optional[typing.Tuple[int, ...]]:
+        if self.llc_partition is None:
+            return None
+        return self.llc_partition[domain]
+
     # ------------------------------------------------------------------
     # Clock helpers
 
@@ -176,6 +181,16 @@ class SoC:
 
     # ------------------------------------------------------------------
     # CPU access path
+
+    def _llc_evict_cpu_side(self, evicted: typing.Optional[int]) -> None:
+        """Inclusive back-invalidation: LLC eviction purges CPU caches.
+
+        Deliberately does *not* touch the GPU L3 (non-inclusive, §III-D).
+        """
+        if evicted is None:
+            return
+        for caches in self.cpu_caches:
+            caches.invalidate(evicted)
 
     def stall_if_preempted(self, core: int) -> AccessGen:
         """Hold the program while the OS has preempted its core."""
@@ -235,10 +250,35 @@ class SoC:
         # Private caches missed: cross the ring to the LLC slice.
         yield self.cpu_cycles_fs(cache_cfg.l2_hit_cycles) + self.ring.traverse_fs
         yield from self.ring.transfer(self._line_slots, "cpu")
-        yield self._llc_fill(
-            "cpu", f"cpu.core{core}", paddr, self.engine.now,
-            self.cpu_cycles_fs(self.config.llc.lookup_cycles) + self.ring.traverse_fs,
+        llc = self.llc.access(paddr, allowed_ways=self._fill_ways("cpu"))
+        self._llc_evict_cpu_side(llc.evicted)
+        if trace is not None:
+            location = self.llc.location_of(paddr)
+            trace.emit(
+                "cache.access", self.engine.now, f"cpu.core{core}",
+                {"level": "llc", "hit": llc.hit, "paddr": paddr,
+                 "slice": location.slice_index, "set": location.set_index},
+            )
+        if llc.evicted is not None and self._trace_evict is not None:
+            self._trace_evict.emit(
+                "cache.evict", self.engine.now, "llc",
+                {"line": llc.evicted, "by": f"cpu.core{core}",
+                 "set": llc.set_index},
+            )
+        tail_fs = (
+            self.cpu_cycles_fs(self.config.llc.lookup_cycles) + self.ring.traverse_fs
         )
+        if not llc.hit:
+            dram_fs = self.dram.latency_fs()
+            if self._trace_dram is not None:
+                self._trace_dram.emit(
+                    "dram.access", self.engine.now, "dram",
+                    {"requester": f"cpu.core{core}", "latency_ns": dram_fs / 1e6},
+                )
+            if self._lat_dram is not None:
+                self._lat_dram.add(dram_fs / 1e6)
+            tail_fs += dram_fs
+        yield tail_fs
         latency = self.engine.now - start
         self._record_cpu_latency(core, latency)
         return latency
@@ -291,12 +331,12 @@ class SoC:
                 t3 = t1 + waited + hold
                 track = self._core_tracks[core]
                 if self.dram.fault_hook is None and (not queue or queue[0][0] > t3):
-                    yield t3 - t0 + self._llc_fill(
+                    yield t3 - t0 + self._llc_fill_fast(
                         "cpu", track, paddr, t3, self._cpu_tail_base_fs
                     )
                 else:
                     yield t3 - t0
-                    yield self._llc_fill(
+                    yield self._llc_fill_fast(
                         "cpu", track, paddr, engine._now, self._cpu_tail_base_fs
                     )
         if level is not None and self._trace_cache is not None:
@@ -307,18 +347,19 @@ class SoC:
             self._lat_cpu[core].add(latency / 1e6)
         return latency
 
-    def _llc_fill(
+    def _llc_fill_fast(
         self, domain: str, track: str, paddr: int, at_fs: int, tail_base_fs: int
     ) -> int:
-        """The LLC stage of a private miss, stamped with logical ``at_fs``.
+        """The resolvers' LLC stage, stamped with logical ``at_fs``.
 
         Looks the line up in its slice, fills it on a miss (inside the
         domain's way partition, if one is active), back-invalidates an
         evicted line from every core's private caches (the LLC is
         inclusive of L1/L2 but not of the GPU L3, §III-D) and draws the
         DRAM latency of a miss.  Returns the tail delay beyond ``at_fs``.
-        It never yields, so both access paths share it; the staged path
-        calls it at the true time.
+        State mutations and emits are those of the staged path's post-ring
+        segment; only the timestamp is supplied instead of read from the
+        engine.
         """
         array = self.llc.slice_for(paddr)
         hit = array.lookup(paddr)
@@ -470,10 +511,34 @@ class SoC:
         gpu_traverse_fs = self.ring.traverse_fs * self.config.ring.gpu_traverse_multiplier
         yield self.gpu_cycles_fs(self.config.gpu_l3.hit_cycles) + gpu_traverse_fs
         yield from self.ring.transfer(self._line_slots, "gpu")
-        yield self._llc_fill(
-            "gpu", "gpu", paddr, self.engine.now,
-            self.cpu_cycles_fs(self.config.llc.lookup_cycles) + gpu_traverse_fs,
+        llc = self.llc.access(paddr, allowed_ways=self._fill_ways("gpu"))
+        self._llc_evict_cpu_side(llc.evicted)
+        if trace is not None:
+            location = self.llc.location_of(paddr)
+            trace.emit(
+                "cache.access", self.engine.now, "gpu",
+                {"level": "llc", "hit": llc.hit, "paddr": paddr,
+                 "slice": location.slice_index, "set": location.set_index},
+            )
+        if llc.evicted is not None and self._trace_evict is not None:
+            self._trace_evict.emit(
+                "cache.evict", self.engine.now, "llc",
+                {"line": llc.evicted, "by": "gpu", "set": llc.set_index},
+            )
+        tail_fs = (
+            self.cpu_cycles_fs(self.config.llc.lookup_cycles) + gpu_traverse_fs
         )
+        if not llc.hit:
+            dram_fs = self.dram.latency_fs()
+            if self._trace_dram is not None:
+                self._trace_dram.emit(
+                    "dram.access", self.engine.now, "dram",
+                    {"requester": "gpu", "latency_ns": dram_fs / 1e6},
+                )
+            if self._lat_dram is not None:
+                self._lat_dram.add(dram_fs / 1e6)
+            tail_fs += dram_fs
+        yield tail_fs
         latency = self.engine.now - start
         if self._lat_gpu is not None:
             self._lat_gpu.add(latency / 1e6)
@@ -519,12 +584,12 @@ class SoC:
             waited, hold = ring.reserve(self._line_slots, "gpu", t1)
             t3 = t1 + waited + hold
             if self.dram.fault_hook is None and (not queue or queue[0][0] > t3):
-                yield t3 - t0 + self._llc_fill(
+                yield t3 - t0 + self._llc_fill_fast(
                     "gpu", "gpu", paddr, t3, self._gpu_tail_base_fs
                 )
             else:
                 yield t3 - t0
-                yield self._llc_fill(
+                yield self._llc_fill_fast(
                     "gpu", "gpu", paddr, engine._now, self._gpu_tail_base_fs
                 )
         latency = engine._now - start

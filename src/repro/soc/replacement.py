@@ -6,7 +6,8 @@ Gen9 PRM); the CPU caches and LLC use true LRU, and a random policy exists
 for ablations.
 
 A policy instance is bound to one cache; per-set state is an opaque object
-created by :meth:`new_set_state`.
+created by :meth:`new_set_state`.  The cache binds :meth:`on_hit`,
+:meth:`on_fill` and :meth:`victim` once and calls them on every access.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ class ReplacementPolicy:
         """Create the metadata object for one cache set."""
         raise NotImplementedError
 
-    def on_hit(self, state: object, way: int) -> None:
+    def on_hit(self, state: typing.Any, way: int) -> None:
         """Update metadata after a hit in ``way``."""
         raise NotImplementedError
 
-    def on_fill(self, state: object, way: int) -> None:
+    def on_fill(self, state: typing.Any, way: int) -> None:
         """Update metadata after a new line is installed in ``way``."""
         raise NotImplementedError
 
-    def victim(self, state: object) -> int:
+    def victim(self, state: typing.Any) -> int:
         """Pick the way to evict from a full set (no state change)."""
         raise NotImplementedError
 
@@ -64,18 +65,15 @@ class TrueLru(ReplacementPolicy):
         # Recency stack: index 0 = MRU, last = LRU.
         return list(range(self.ways))
 
-    def _touch(self, stack: typing.List[int], way: int) -> None:
-        stack.remove(way)
-        stack.insert(0, way)
+    def on_hit(self, state: typing.List[int], way: int) -> None:
+        if state[0] != way:  # move ``way`` to the MRU end
+            state.remove(way)
+            state.insert(0, way)
 
-    def on_hit(self, state: object, way: int) -> None:
-        self._touch(typing.cast(list, state), way)
+    on_fill = on_hit
 
-    def on_fill(self, state: object, way: int) -> None:
-        self._touch(typing.cast(list, state), way)
-
-    def victim(self, state: object) -> int:
-        return typing.cast(list, state)[-1]
+    def victim(self, state: typing.List[int]) -> int:
+        return state[-1]
 
 
 class TreePlru(ReplacementPolicy):
@@ -92,11 +90,11 @@ class TreePlru(ReplacementPolicy):
         if ways & (ways - 1):
             raise CacheGeometryError("tree-pLRU requires a power-of-two way count")
         self._levels = ways.bit_length() - 1
-        #: Per way, the ``(node, bit)`` writes that touching it makes: the
-        #: bits along its root-to-leaf path, each pointing away from it.
-        self.paths: typing.Tuple[typing.Tuple[typing.Tuple[int, int], ...], ...] = tuple(
-            self._path(way) for way in range(ways)
-        )
+        # Leaves are numbered after the ``ways - 1`` internal nodes.
+        self._inner = ways - 1
+        # Per way, the ``(node, bit)`` writes that touching it makes: the
+        # bits along its root-to-leaf path, each pointing away from it.
+        self._paths = tuple(self._path(way) for way in range(ways))
 
     def _path(self, way: int) -> typing.Tuple[typing.Tuple[int, int], ...]:
         path = []
@@ -110,25 +108,19 @@ class TreePlru(ReplacementPolicy):
     def new_set_state(self) -> typing.List[int]:
         return [0] * max(1, self.ways - 1)
 
-    def _touch(self, bits: typing.List[int], way: int) -> None:
-        for node, bit in self.paths[way]:
-            bits[node] = bit
+    def on_hit(self, state: typing.List[int], way: int) -> None:
+        for node, bit in self._paths[way]:
+            state[node] = bit
 
-    def on_hit(self, state: object, way: int) -> None:
-        self._touch(typing.cast(list, state), way)
+    on_fill = on_hit
 
-    def on_fill(self, state: object, way: int) -> None:
-        self._touch(typing.cast(list, state), way)
-
-    def victim(self, state: object) -> int:
-        bits = typing.cast(list, state)
+    def victim(self, state: typing.List[int]) -> int:
+        # Follow the pointer bits from the root down to a leaf.
         node = 0
-        way = 0
-        for _level in range(self._levels):
-            side = bits[node]
-            way = (way << 1) | side
-            node = 2 * node + 1 + side
-        return way
+        inner = self._inner
+        while node < inner:
+            node = 2 * node + 1 + state[node]
+        return node - inner
 
 
 class RandomReplacement(ReplacementPolicy):

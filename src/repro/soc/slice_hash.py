@@ -13,7 +13,6 @@ from __future__ import annotations
 import typing
 
 from repro.errors import ConfigError
-from repro.soc.address import parity
 
 
 class SliceHash:
@@ -33,19 +32,10 @@ class SliceHash:
         self._used_masks = self.masks[:needed_bits]
 
     def slice_of(self, paddr: int) -> int:
-        """The LLC slice index of a physical address.
-
-        The paper's 4-slice hash (two output bits) is unrolled; other
-        widths take the generic loop.
-        """
-        masks = self._used_masks
-        if len(masks) == 2:
-            return ((paddr & masks[0]).bit_count() & 1) | (
-                ((paddr & masks[1]).bit_count() & 1) << 1
-            )
+        """The LLC slice index of a physical address."""
         value = 0
-        for position, mask in enumerate(masks):
-            value |= parity(paddr & mask) << position
+        for position, mask in enumerate(self._used_masks):
+            value |= ((paddr & mask).bit_count() & 1) << position
         return value
 
     def mask_bits(self, position: int) -> typing.Tuple[int, ...]:
